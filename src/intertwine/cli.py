@@ -5,8 +5,9 @@ builtin dimer model or a JSON file (complex numbers as [re, im] pairs,
 matrices row-major, schedules as an ordered event list).  Outputs are
 deterministic CSV/JSON plus optional gnuplot scripts.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure,
-3 verify-suite failure.
+Exit codes: 0 success, 1 config error, 2 numerical failure (including
+a result that cannot be written as finite numbers), 3 verify-suite
+failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import floquet as fl
 from . import liouville as lv
@@ -30,7 +30,7 @@ from .linalg import (
     DEFAULT_TOL_RANK,
     NumericalError,
     as_matrix,
-    eig,
+    eig,  # noqa: F401  (not called here; bench/tests/test_bench_harness.py reads cli.eig)
     rank,
 )
 
@@ -48,17 +48,73 @@ def _r(x) -> str:
     return repr(float(x))
 
 
-def _f(x: float) -> float:
-    # floats pass through json.dumps with repr, which round-trips exactly
-    return float(x)
+def _require_finite(path: Path, values) -> None:
+    """Refuse to write `path` when any of `values` is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{path}: result is not finite, file not written")
 
 
-def _c(z: complex) -> list[float]:
-    return [_f(np.real(z)), _f(np.imag(z))]
+def _json_text(x, depth: int, path: Path) -> str:
+    """`x` as json.dumps(x, indent=2, sort_keys=True) lays it out at nesting `depth`.
+
+    A numpy array is written as nested lists and a complex number as an
+    [re, im] pair, so the bytes equal those of the same data given as
+    Python lists of floats.
+    """
+    if isinstance(x, np.ndarray):
+        return _json_array(x, depth, path)
+    if isinstance(x, complex):
+        x = [x.real, x.imag]
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_json_text(x[k], depth + 1, path)}" for k in sorted(x)]
+        return _json_block("{", items, "}", depth)
+    if isinstance(x, (list, tuple)):
+        return _json_block("[", [_json_text(v, depth + 1, path) for v in x], "]", depth)
+    if isinstance(x, float):
+        _require_finite(path, x)
+        return float.__repr__(x)
+    return json.dumps(x)
 
 
-def _mat(m: np.ndarray) -> list:
-    return [[_c(z) for z in row] for row in np.asarray(m, dtype=complex)]
+def _json_block(opening: str, items: list[str], closing: str, depth: int) -> str:
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+def _json_array(a: np.ndarray, depth: int, path: Path) -> str:
+    """A non-empty float or complex array, formatted one axis at a time from the innermost."""
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    _require_finite(path, a)
+    texts = list(map(repr, a.ravel().tolist()))
+    for axis in reversed(range(a.ndim)):
+        n = a.shape[axis]
+        inner = "\n" + "  " * (depth + axis + 1)
+        layout = "[" + inner + ("%s," + inner) * (n - 1) + "%s\n" + "  " * (depth + axis) + "]"
+        texts = list(map(layout.__mod__, zip(*[iter(texts)] * n)))
+    return texts[0]
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(_json_text(obj, 0, path) + "\n")
+
+
+def _write_table(path: Path, header: str, columns, sep: str = ",") -> None:
+    """One line per row of `columns` under `header`.
+
+    A float array column is written with repr; any other column is a
+    sequence written with str.
+    """
+    texts = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            _require_finite(path, col)
+            texts.append(map(repr, col.tolist()))
+        else:
+            texts.append(map(str, col))
+    path.write_text("\n".join([header, *map(sep.join, zip(*texts))]) + "\n")
 
 
 def _parse_complex(obj) -> complex:
@@ -221,15 +277,19 @@ def _formats(args) -> set[str]:
     return fmts
 
 
-def _eigenop_record(eop: lv.EigenOperator, label: str, tol_rank: float) -> dict:
-    return {
-        "label": label,
-        "rate": _c(eop.rate),
-        "hermitian": bool(eop.hermitian),
-        "rank": int(rank(eop.op, tol_rank)),
-        "residual": _f(eop.residual),
-        "matrix": _mat(eop.op),
-    }
+def _operator_records(ops: list[lv.EigenOperator], tol_rank: float) -> list[dict]:
+    ranks = rank(np.array([e.op for e in ops]), tol_rank).tolist()
+    return [
+        {
+            "label": f"eta{i + 1}",
+            "rate": e.rate,
+            "hermitian": bool(e.hermitian),
+            "rank": ranks[i],
+            "residual": e.residual,
+            "matrix": e.op,
+        }
+        for i, e in enumerate(ops)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -242,35 +302,38 @@ def run_static(args) -> int:
     fmts = _formats(args)
     result = lv.eigen_operators(h, tol_eig=args.tol_eig, tol_rank=args.tol_rank)
     phase = lv.classify_pt_phase(h, args.tol_eig)
-    ops = result.conserved + result.transient
-    report = {
-        "mode": "static",
-        "dim": int(h.shape[0]),
-        "hamiltonian": _mat(h),
-        "hamiltonian_eigenvalues": [_c(z) for z in result.hamiltonian_spectrum.eigenvalues],
-        "pt_phase": phase.value,
-        "conserved_count": len(result.conserved),
-        "operators": [
-            _eigenop_record(e, f"eta{i + 1}", args.tol_rank) for i, e in enumerate(ops)
-        ],
-    }
     if "json" in fmts:
-        _write_json(out / "static_report.json", report)
+        _write_json(
+            out / "static_report.json",
+            {
+                "mode": "static",
+                "dim": int(h.shape[0]),
+                "hamiltonian": h,
+                "hamiltonian_eigenvalues": result.hamiltonian_spectrum.eigenvalues,
+                "pt_phase": phase.value,
+                "conserved_count": len(result.conserved),
+                "operators": _operator_records(result.conserved + result.transient, args.tol_rank),
+            },
+        )
     if "csv" in fmts:
-        computed = np.sort_complex(eig(result.liouvillian, args.tol_eig).eigenvalues)
+        computed = np.sort_complex(result.liouvillian_spectrum.eigenvalues)
         predicted = np.sort_complex(lv.predicted_rates(h, args.tol_eig))
-        lines = ["index,re_computed,im_computed,re_predicted,im_predicted"]
-        for i, (c, p) in enumerate(zip(computed, predicted)):
-            lines.append(f"{i},{_r(c.real)},{_r(c.imag)},{_r(p.real)},{_r(p.imag)}")
-        (out / "liouvillian_spectrum.csv").write_text("\n".join(lines) + "\n")
+        _write_table(
+            out / "liouvillian_spectrum.csv",
+            "index,re_computed,im_computed,re_predicted,im_predicted",
+            [range(computed.size), computed.real, computed.imag, predicted.real, predicted.imag],
+        )
     print(f"static: N={h.shape[0]}, phase={phase.value}, "
           f"{len(result.conserved)} conserved / {len(result.transient)} transient")
     return 0
 
 
-def _floquet_report(sched: fl.Schedule, args) -> tuple[dict, fl.FloquetPropagator, list]:
+def _floquet_operators(sched: fl.Schedule, args) -> tuple[fl.FloquetPropagator, list]:
     fp = fl.propagator(sched, args.tol_eig)
-    ops = fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
+    return fp, fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
+
+
+def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, args) -> dict:
     recursion = None
     conserved = [e for e in ops if abs(e.rate - 1.0) <= 1e-8]
     if conserved:
@@ -280,35 +343,38 @@ def _floquet_report(sched: fl.Schedule, args) -> tuple[dict, fl.FloquetPropagato
             "symmetrized_independent": rec.symmetrized_independent,
             "antisymmetrized_independent": rec.antisymmetrized_independent,
         }
-    report = {
+    return {
         "mode": "floquet",
         "dim": sched.dim,
-        "period": _f(sched.period),
-        "propagator": _mat(fp.gf),
-        "kappa": [_c(z) for z in fp.kappa.eigenvalues],
+        "period": float(sched.period),
+        "propagator": fp.gf,
+        "kappa": fp.kappa.eigenvalues,
         "phase": fp.phase.value,
-        "operators": [
-            _eigenop_record(e, f"eta{i + 1}", args.tol_rank) for i, e in enumerate(ops)
-        ],
+        "operators": _operator_records(ops, args.tol_rank),
         "recursive_check": recursion,
     }
-    return report, fp, ops
 
 
 def run_floquet(args) -> int:
     sched = resolve_schedule(args, periodic=True)
     out = _outdir(args)
     fmts = _formats(args)
-    report, fp, ops = _floquet_report(sched, args)
+    fp, ops = _floquet_operators(sched, args)
     if "json" in fmts:
-        _write_json(out / "floquet_report.json", report)
+        _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops, args))
     if "csv" in fmts:
-        lines = ["label,re_lambda,im_lambda,hermitian,residual"]
-        for i, e in enumerate(ops):
-            lines.append(
-                f"eta{i + 1},{_r(e.rate.real)},{_r(e.rate.imag)},{int(e.hermitian)},{_r(e.residual)}"
-            )
-        (out / "floquet_multipliers.csv").write_text("\n".join(lines) + "\n")
+        lam = np.array([e.rate for e in ops], dtype=complex)
+        _write_table(
+            out / "floquet_multipliers.csv",
+            "label,re_lambda,im_lambda,hermitian,residual",
+            [
+                [f"eta{i + 1}" for i in range(len(ops))],
+                lam.real,
+                lam.imag,
+                [int(e.hermitian) for e in ops],
+                np.array([e.residual for e in ops], dtype=float),
+            ],
+        )
     print(f"floquet: N={sched.dim}, phase={fp.phase.value}, "
           f"multipliers={[f'{z.rate:.4g}' for z in ops]}")
     return 0
@@ -321,7 +387,7 @@ def run_trace(args) -> int:
     psi0 = parse_psi0(args.psi0) if args.psi0 else _default_psi0(sched.dim)
     if psi0.size != sched.dim:
         raise ConfigError(f"psi0 has {psi0.size} entries, expected {sched.dim}")
-    _, fp, ops = _floquet_report(sched, args)
+    _, ops = _floquet_operators(sched, args)
     series = fl.evolve_trace(
         sched,
         psi0,
@@ -331,38 +397,44 @@ def run_trace(args) -> int:
         labels=[f"eta{i + 1}" for i in range(len(ops))],
         rates=[e.rate for e in ops],
     )
-    strobe = set(int(i) for i in series.stroboscopic_indices)
+    rates = np.array(series.rates, dtype=complex)
+    # lambda^t on every sample; the writers refuse it where it overflows
+    with np.errstate(over="ignore"):
+        ref = np.exp(np.log(rates)[:, None] * series.times)
     if "csv" in fmts:
-        lines = [
+        n_ops, n_times = series.values.shape
+        strobe = np.zeros(n_times, dtype=int)
+        strobe[series.stroboscopic_indices] = 1
+        _write_table(
+            out / "trace.csv",
             "t_over_T,operator_label,re_value,im_value,is_stroboscopic,"
-            "re_lambda_pow_t,im_lambda_pow_t,normalized"
-        ]
-        for a, label in enumerate(series.labels):
-            lam = series.rates[a]
-            loglam = np.log(lam)
-            for i, t in enumerate(series.times):
-                v = series.values[a, i]
-                ref = np.exp(loglam * t)
-                lines.append(
-                    f"{_r(t)},{label},{_r(v.real)},{_r(v.imag)},{int(i in strobe)},"
-                    f"{_r(ref.real)},{_r(ref.imag)},{int(series.normalized[a])}"
-                )
-        (out / "trace.csv").write_text("\n".join(lines) + "\n")
+            "re_lambda_pow_t,im_lambda_pow_t,normalized",
+            [
+                np.tile(series.times, n_ops),
+                np.repeat(series.labels, n_times),
+                series.values.real.ravel(),
+                series.values.imag.ravel(),
+                np.tile(strobe, n_ops),
+                ref.real.ravel(),
+                ref.imag.ravel(),
+                np.repeat(np.array(series.normalized, dtype=int), n_times),
+            ],
+        )
     if "json" in fmts:
         _write_json(
             out / "trace_report.json",
             {
                 "mode": "trace",
-                "psi0": [_c(z) for z in psi0],
+                "psi0": psi0,
                 "labels": series.labels,
-                "multipliers": [_c(z) for z in series.rates],
+                "multipliers": rates,
                 "normalized": series.normalized,
                 "periods": args.periods,
                 "steps_per_period": args.steps_per_period,
             },
         )
     if "gnuplot" in fmts:
-        _write_gnuplot(out, series)
+        _write_gnuplot(out, series, ref)
     print(f"trace: {len(series.labels)} operators, "
           f"{series.times.size} samples over {args.periods} periods")
     return 0
@@ -372,17 +444,16 @@ def _default_psi0(dim: int) -> np.ndarray:
     return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
-def _write_gnuplot(out: Path, series: fl.TraceSeries) -> None:
+def _write_gnuplot(out: Path, series: fl.TraceSeries, ref: np.ndarray) -> None:
     # one datafile per operator keeps the plot script trivial
     for a, label in enumerate(series.labels):
-        lam = series.rates[a]
-        loglam = np.log(lam)
-        lines = ["# t_over_T re_value im_value re_ref"]
-        for i, t in enumerate(series.times):
-            v = series.values[a, i]
-            ref = np.exp(loglam * t)
-            lines.append(f"{_r(t)} {_r(v.real)} {_r(v.imag)} {_r(ref.real)}")
-        (out / f"trace_{label}.dat").write_text("\n".join(lines) + "\n")
+        v = series.values[a]
+        _write_table(
+            out / f"trace_{label}.dat",
+            "# t_over_T re_value im_value re_ref",
+            [series.times, v.real, v.imag, ref[a].real],
+            sep=" ",
+        )
     n = len(series.labels)
     script = [
         "set terminal pngcairo size 1200,900",
@@ -445,12 +516,15 @@ def run_scan(args) -> int:
     lines = ["gamma_over_j,jt,phase,kappa_ratio"]
     for (gj, jt), (phase, measure) in zip(points, results):
         if phase == "error":
-            failures.append({"gamma_over_j": _f(gj), "jt": _f(jt), "error": measure})
+            failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": measure})
+            # "nan" marks the failed point; it is not a computed number
             lines.append(f"{_r(gj)},{_r(jt)},error,nan")
         else:
             lines.append(f"{_r(gj)},{_r(jt)},{phase},{_r(measure)}")
     if "csv" in fmts:
-        (out / "scan_grid.csv").write_text("\n".join(lines) + "\n")
+        path = out / "scan_grid.csv"
+        _require_finite(path, [measure for phase, measure in results if phase != "error"])
+        path.write_text("\n".join(lines) + "\n")
 
     contour = _refine_contour(model, waveform, gammas, jts, args)
     if "csv" in fmts:
@@ -465,16 +539,9 @@ def run_scan(args) -> int:
                 "mode": "scan",
                 "model": model.value,
                 "waveform": waveform.value,
-                "grid": {
-                    "gamma_over_j": [_f(g) for g in gammas],
-                    "jt": [_f(t) for t in jts],
-                },
+                "grid": {"gamma_over_j": gammas, "jt": jts},
                 "contour": [
-                    {
-                        "gamma_over_j": _f(gj),
-                        "jt": _f(jt),
-                        "analytic_gamma_over_j": None if ana is None else _f(ana),
-                    }
+                    {"gamma_over_j": gj, "jt": jt, "analytic_gamma_over_j": ana}
                     for gj, jt, ana in contour
                 ],
                 "failures": failures,
@@ -487,6 +554,8 @@ def run_scan(args) -> int:
 
 def _refine_contour(model, waveform, gammas, jts, args):
     """Bisection refinement of phase-boundary crossings along each JT row."""
+    from scipy.optimize import brentq
+
     contour = []
     for jt in jts:
         def disc(gj, jt=jt):
@@ -532,10 +601,6 @@ def run_verify(args) -> int:
         failed += 0 if r.ok else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 3
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ eigenvectors of the superoperator gf^T kron gf^dag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

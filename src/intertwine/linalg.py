@@ -154,12 +154,19 @@ def null_space(a, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
     return vh[nkeep:].conj().T.copy() if nkeep < ncols else np.zeros((ncols, 0), dtype=complex)
 
 
-def rank(a, tol_rank: float = DEFAULT_TOL_RANK) -> int:
-    """Number of singular values above tol_rank * sigma_max."""
+def rank(a, tol_rank: float = DEFAULT_TOL_RANK):
+    """Number of singular values above tol_rank * sigma_max.
+
+    ``a`` is one matrix or a stack of shape (..., m, n); a stack gives an
+    integer array with one count per matrix.
+    """
     if tol_rank <= 0:
         raise ValueError("tol_rank must be positive")
-    a = as_matrix(a)
-    s = scipy.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or 0 in a.shape[-2:]:
+        raise ValueError(f"expected matrices with non-empty last two axes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    s = np.linalg.svd(a, compute_uv=False)
+    counts = np.count_nonzero(s > tol_rank * s[..., :1], axis=-1)
+    return int(counts) if a.ndim == 2 else counts

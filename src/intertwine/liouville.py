@@ -10,7 +10,7 @@ are operators whose expectation values evolve as a single exponential.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class EigenOperator:
 @dataclass
 class LiouvillianResult:
     liouvillian: np.ndarray
+    liouvillian_spectrum: Spectrum
     conserved: list[EigenOperator]
     transient: list[EigenOperator]
     hamiltonian_spectrum: Spectrum
@@ -219,6 +220,7 @@ def eigen_operators(
     ]
     return LiouvillianResult(
         liouvillian=lmat,
+        liouvillian_spectrum=spectrum,
         conserved=conserved,
         transient=_canonical_sort(transient),
         hamiltonian_spectrum=eig(h, tol_eig),

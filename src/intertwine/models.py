@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .floquet import Kick, Schedule, Segment, propagator
 from .linalg import as_matrix, hs_norm, matexp
@@ -278,6 +277,8 @@ def ep_contour(
 
     Raises when the bracket shows no sign change for some row.
     """
+    from scipy.optimize import brentq
+
     waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
 
     def disc(gamma_over_j: float, jt: float) -> float:

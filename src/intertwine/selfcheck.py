@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
 
 from . import floquet as fl
 from . import liouville as lv
@@ -52,6 +51,8 @@ def random_pt_symmetric(rng, n: int) -> np.ndarray:
 
 def match_spectra(a: np.ndarray, b: np.ndarray) -> float:
     """Max eigenvalue distance under optimal (assignment) matching."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
@@ -218,6 +219,8 @@ def check_time_shift(tols) -> CheckResult:
 
 
 def check_classical_ep_contour(tols) -> CheckResult:
+    from scipy.optimize import brentq
+
     worst = 0.0
     for jt in np.linspace(0.6, 2.4, 5):
         def disc(gj, jt=jt):

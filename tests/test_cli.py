@@ -1,9 +1,15 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_pt_symmetric
 from intertwine import cli
+from intertwine import floquet as fl
+from intertwine.linalg import NumericalError
 
 
 def run(args, capsys=None):
@@ -259,6 +265,18 @@ class TestTrace:
                     assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
 
+    def test_overflowing_trace_exits_2(self, tmp_path):
+        # max|lambda|^100 overflows double range in the PT-broken phase
+        assert run(
+            ["trace", "--model", "quantum-dimer", "--gamma", "3", "--JT", "3",
+             "--periods", "100", "--steps-per-period", "4", "--out", str(tmp_path)]
+        ) == 2
+        csv = tmp_path / "trace.csv"
+        assert not csv.exists() or not any(
+            word in csv.read_text().lower() for word in ("nan", "inf")
+        )
+
+
 class TestScan:
     def test_grid_and_contour(self, tmp_path):
         assert run(
@@ -318,3 +336,132 @@ class TestVerify:
         code, cap = run(["verify", "--tol-override", "1e-300"], capsys)
         assert code == 3
         assert "[FAIL]" in cap.out
+
+
+def list_form(x):
+    """`x` with every array and complex number spelled out as Python lists."""
+    if isinstance(x, np.ndarray):
+        return list_form(x.item()) if x.ndim == 0 else [list_form(v) for v in x]
+    if isinstance(x, complex):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, dict):
+        return {k: list_form(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [list_form(v) for v in x]
+    if isinstance(x, float):
+        return float(x)
+    return x
+
+
+def assert_canonical_json(out):
+    files = sorted(Path(out).glob("*.json"))
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def per_sample_trace_tables(argv):
+    """trace.csv and trace_<label>.dat texts formatted one sample at a time."""
+    args = cli.build_parser().parse_args(argv)
+    sched = cli.resolve_schedule(args, periodic=True)
+    fp = fl.propagator(sched, args.tol_eig)
+    ops = fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
+    series = fl.evolve_trace(
+        sched, cli.parse_psi0(args.psi0), [e.op for e in ops],
+        steps_per_period=args.steps_per_period, periods=args.periods,
+        rates=[e.rate for e in ops],
+    )
+    r = lambda x: repr(float(x))  # noqa: E731
+    strobe = set(series.stroboscopic_indices.tolist())
+    csv = ["t_over_T,operator_label,re_value,im_value,is_stroboscopic,"
+           "re_lambda_pow_t,im_lambda_pow_t,normalized"]
+    dat = {}
+    for a, label in enumerate(series.labels):
+        loglam = np.log(series.rates[a])
+        lines = ["# t_over_T re_value im_value re_ref"]
+        for i, t in enumerate(series.times):
+            v = series.values[a, i]
+            ref = np.exp(loglam * t)
+            csv.append(f"{r(t)},{label},{r(v.real)},{r(v.imag)},{int(i in strobe)},"
+                       f"{r(ref.real)},{r(ref.imag)},{int(series.normalized[a])}")
+            lines.append(f"{r(t)} {r(v.real)} {r(v.imag)} {r(ref.real)}")
+        dat[label] = "\n".join(lines) + "\n"
+    return "\n".join(csv) + "\n", dat
+
+
+DIMER_COMMANDS = [
+    ["static", "--gamma", "0.5"],
+    ["static", "--gamma", "1.5"],
+    ["floquet", "--gamma", "0.5", "--JT", "1"],
+    ["floquet", "--gamma", "1.2", "--JT", "2"],
+    ["trace", "--gamma", "0.5", "--JT", "1.3", "--periods", "3", "--steps-per-period", "5",
+     "--format", "csv,json,gnuplot"],
+    ["scan", "--grid", "0:2:9,0.5:3:4"],
+]
+
+
+class TestOutputBytes:
+    def test_json_writer_matches_json_dumps(self, tmp_path):
+        z = np.array([-0.0 + 5e-324j, 1e308 - 0.0j, 0.1 - 1e-300j])
+        report = {
+            "vector": z,
+            "matrix": np.array([[1 + 1j, -0.0 + 0.0j], [5e-324 - 1e308j, 3j]]),
+            "scalar": np.array(2.5 - 0.0j),
+            "rate": complex(-0.0, 1e308),
+            "reals": np.array([0.5, -0.0, 1e308, 5e-324]),
+            "nested": [z[:1], {"b": None, "a": True, "c": False}, [], {}, 7, "é\"x"],
+            "zero": 0.0,
+            "stack": np.arange(24, dtype=float).reshape(2, 3, 4) - 11.5,
+        }
+        path = tmp_path / "report.json"
+        cli._write_json(path, report)
+        assert path.read_text() == json.dumps(list_form(report), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1.0, np.nan]), np.array([[1j, complex(np.inf, 0)]]), float("-inf"),
+         complex(0, np.nan)],
+    )
+    def test_json_writer_refuses_non_finite(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(NumericalError, match="report.json"):
+            cli._write_json(path, {"ok": [1.0], "bad": [bad]})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("model", ["quantum-dimer", "classical-dimer"])
+    @pytest.mark.parametrize("command", DIMER_COMMANDS, ids=lambda c: "-".join(c[:3]))
+    def test_dimer_json_is_canonical(self, tmp_path, model, command):
+        assert run(command[:1] + ["--model", model] + command[1:] + ["--out", str(tmp_path)]) == 0
+        assert_canonical_json(tmp_path)
+
+    @pytest.mark.parametrize("command", [["static"], ["floquet", "--JT", "0.7"]])
+    def test_random_input_json_is_canonical(self, tmp_path, command):
+        h = random_pt_symmetric(np.random.default_rng(7), 4)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in h]}))
+        out = tmp_path / "out"
+        assert run(command + ["--input", str(path), "--out", str(out)]) == 0
+        assert_canonical_json(out)
+
+    @pytest.mark.parametrize("model", ["quantum-dimer", "classical-dimer"])
+    def test_trace_tables_match_per_sample_formatting(self, tmp_path, model):
+        argv = ["trace", "--model", model, "--gamma", "1.2", "--JT", "1.3", "--periods", "6",
+                "--steps-per-period", "7", "--psi0", "0.6,0.1;-0.3,0.7",
+                "--format", "csv,gnuplot", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        csv, dat = per_sample_trace_tables(argv)
+        assert (tmp_path / "trace.csv").read_text() == csv
+        for label, text in dat.items():
+            assert (tmp_path / f"trace_{label}.dat").read_text() == text
+
+
+class TestStartup:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, intertwine.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"

@@ -154,3 +154,18 @@ class TestSVDNullRank:
 
     def test_rank_identity(self):
         assert linalg.rank(np.eye(3)) == 3
+
+    def test_rank_of_stack_matches_each_matrix(self, rng):
+        v = random_complex(rng, 3, 1)
+        stack = np.array(
+            [np.eye(3), v @ v.conj().T, np.zeros((3, 3)), random_complex(rng, 3, 3), np.diag([1.0, 1e-12, 0.0])]
+        )
+        counts = linalg.rank(stack)
+        assert counts.tolist() == [linalg.rank(m) for m in stack] == [3, 1, 0, 3, 1]
+        assert linalg.rank(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
+
+    def test_rank_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            linalg.rank(np.ones(3))
+        with pytest.raises(ValueError):
+            linalg.rank(np.full((2, 2, 2), np.nan))
