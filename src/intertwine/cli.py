@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +169,10 @@ def parse_psi0(text: str) -> np.ndarray:
         ]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse psi0 {text!r}; use 're,im;re,im;...'") from exc
-    return np.array(entries, dtype=complex)
+    psi0 = np.array(entries, dtype=complex)
+    if not np.all(np.isfinite(psi0)):
+        raise ConfigError(f"psi0 {text!r} has a non-finite entry")
+    return psi0
 
 
 def parse_grid(text: str):
@@ -216,13 +217,13 @@ def _default_waveform(model: md.Model, periodic: bool) -> md.Waveform:
     return md.Waveform.SQUARE_WAVE if model is md.Model.QUANTUM else md.Waveform.DELTA_KICKS
 
 
-def _params_from_args(args, waveform: md.Waveform) -> md.DimerParams:
-    if args.JT is None:
-        raise ConfigError("missing --JT (period in units of 1/J)")
+def _dimer_schedule(args, model: md.Model, waveform: md.Waveform, gamma_over_j, jt) -> fl.Schedule:
+    """The dimer's schedule at --J and the dimensionless gamma/J and JT."""
+    if not 0.0 < args.J < np.inf:
+        raise ConfigError("J must be positive and finite")
     try:
-        return md.DimerParams(
-            J=args.J, gamma=args.gamma * args.J, T=args.JT / args.J, waveform=waveform
-        )
+        p = md.DimerParams(J=args.J, gamma=gamma_over_j * args.J, T=jt / args.J, waveform=waveform)
+        return md.build_schedule(model, p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -235,14 +236,11 @@ def resolve_schedule(args, periodic: bool) -> fl.Schedule:
         obj = _load_json(args.input)
         if "matrix" in obj:
             h = parse_matrix(obj["matrix"])
-            period = args.JT if args.JT is not None else 1.0
-            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(period, h)])
+            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
         return parse_schedule(obj)
     model = _model_from_args(args)
     waveform = _waveform_from_args(args, _default_waveform(model, periodic))
-    if periodic and waveform is md.Waveform.STATIC:
-        pass  # a static schedule is still a valid (one-segment) period
-    return md.build_schedule(model, _params_from_args(args, waveform))
+    return _dimer_schedule(args, model, waveform, args.gamma, args.JT)
 
 
 def resolve_static_hamiltonian(args) -> np.ndarray:
@@ -335,9 +333,9 @@ def _floquet_operators(sched: fl.Schedule, args) -> tuple[fl.FloquetPropagator, 
 
 def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, args) -> dict:
     recursion = None
-    conserved = [e for e in ops if abs(e.rate - 1.0) <= 1e-8]
-    if conserved:
-        rec = fl.recursive_floquet(conserved[0].op, fp.gf)
+    # conserved operators come first, with multiplier exactly 1; no other has it
+    if ops[0].rate == 1.0:
+        rec = fl.recursive_floquet(ops[0].op, fp.gf)
         recursion = {
             "seed": "eta1",
             "symmetrized_independent": rec.symmetrized_independent,
@@ -471,18 +469,14 @@ def _write_gnuplot(out: Path, series: fl.TraceSeries, ref: np.ndarray) -> None:
 
 
 def _scan_point(model: md.Model, waveform: md.Waveform, gj: float, jt: float, args):
-    p = md.DimerParams(J=args.J, gamma=gj * args.J, T=jt / args.J, waveform=waveform)
+    sched = _dimer_schedule(args, model, waveform, gj, jt)
     if waveform is md.Waveform.STATIC:
-        h = (
-            md.quantum_hamiltonian(p.J, p.gamma)
-            if model is md.Model.QUANTUM
-            else md.classical_hamiltonian(p.J, p.gamma)
-        )
+        h = sched.events[0].generator
         phase = lv.classify_pt_phase(h, args.tol_eig)
         w = np.linalg.eigvals(h)
         measure = float(np.max(np.abs(w.imag)))
         return phase.value, measure
-    fp = fl.propagator(md.build_schedule(model, p), args.tol_eig)
+    fp = fl.propagator(sched, args.tol_eig)
     moduli = np.abs(fp.kappa.eigenvalues)
     return fp.phase.value, float(np.max(moduli) / max(np.min(moduli), 1e-300))
 
@@ -493,37 +487,31 @@ def run_scan(args) -> int:
     model = _model_from_args(args)
     waveform = _waveform_from_args(args, _default_waveform(model, periodic=True))
     gammas, jts = parse_grid(args.grid)
+    # the grid's corners bound every point (and every contour bisection)
+    for gj in (gammas[0], gammas[-1]):
+        for jt in (jts[0], jts[-1]):
+            _dimer_schedule(args, model, waveform, gj, jt)
     out = _outdir(args)
     fmts = _formats(args)
 
-    points = [(gj, jt) for jt in jts for gj in gammas]
-    workers = int(os.environ.get("INTERTWINE_THREADS", os.cpu_count() or 1))
     failures = []
-
-    def evaluate(pt):
-        gj, jt = pt
-        try:
-            return _scan_point(model, waveform, gj, jt, args)
-        except Exception as exc:  # per-point failures are recorded, not fatal
-            return ("error", str(exc))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(pt) for pt in points]
-
+    measures = []
     lines = ["gamma_over_j,jt,phase,kappa_ratio"]
-    for (gj, jt), (phase, measure) in zip(points, results):
-        if phase == "error":
-            failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": measure})
-            # "nan" marks the failed point; it is not a computed number
-            lines.append(f"{_r(gj)},{_r(jt)},error,nan")
-        else:
+    for jt in jts:
+        for gj in gammas:
+            try:
+                phase, measure = _scan_point(model, waveform, gj, jt, args)
+            except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
+                # per-point failures are recorded, not fatal; "nan" marks
+                # the failed point, it is not a computed number
+                failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": str(exc)})
+                lines.append(f"{_r(gj)},{_r(jt)},error,nan")
+                continue
+            measures.append(measure)
             lines.append(f"{_r(gj)},{_r(jt)},{phase},{_r(measure)}")
     if "csv" in fmts:
         path = out / "scan_grid.csv"
-        _require_finite(path, [measure for phase, measure in results if phase != "error"])
+        _require_finite(path, measures)
         path.write_text("\n".join(lines) + "\n")
 
     contour = _refine_contour(model, waveform, gammas, jts, args)
@@ -547,7 +535,7 @@ def run_scan(args) -> int:
                 "failures": failures,
             },
         )
-    print(f"scan: {len(points)} points, {len(contour)} contour points, "
+    print(f"scan: {gammas.size * jts.size} points, {len(contour)} contour points, "
           f"{len(failures)} failures")
     return 0
 

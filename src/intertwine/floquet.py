@@ -4,7 +4,8 @@ A drive is described by a ``Schedule``: piecewise-constant Hamiltonian
 segments interleaved with instantaneous non-unitary kicks over one
 period.  The one-period propagator gf fixes the stroboscopic dynamics
 psi(mT) = gf^m psi(0); conserved operators are unit-eigenvalue
-eigenvectors of the superoperator gf^T kron gf^dag.
+eigenvectors of the superoperator gf^T kron gf^dag, found by the
+eigen-operator core and phase test of ``liouville.py`` with target 1.
 """
 
 from __future__ import annotations
@@ -21,18 +22,14 @@ from .linalg import (
     eig,
     hs_norm,
     matexp,
-    null_space,
 )
 from .liouville import (
     EigenOperator,
     PTPhase,
-    canonicalize_operator,
-    hermitize_basis,
+    classify_phase,
+    null_space_operators,
+    split_eigen_operators,
 )
-from .vectorize import unvec
-
-UNIT_MULTIPLIER_REL_TOL = 1e-8
-HERMITIAN_FLAG_TOL = 1e-10
 
 
 @dataclass
@@ -99,18 +96,10 @@ class FloquetPropagator:
 
 
 def classify_floquet_phase(kappa: Spectrum, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
-    """PT phase from the moduli of the one-period propagator eigenvalues."""
-    w = kappa.eigenvalues
-    moduli = np.abs(w)
-    scale = max(float(np.max(moduli)), 1e-300)
-    if w.size > 1:
-        gaps = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) <= tol * scale and np.linalg.cond(kappa.eigenvectors) > 1.0 / tol:
-            return PTPhase.EXCEPTIONAL_POINT
-    if np.max(moduli) - np.min(moduli) <= tol * scale:
-        return PTPhase.SYMMETRIC
-    return PTPhase.BROKEN
+    """PT phase from the moduli of the one-period propagator eigenvalues (all equal: symmetric)."""
+    moduli = np.abs(kappa.eigenvalues)
+    top = float(np.max(moduli))
+    return classify_phase(kappa.eigenvalues, kappa.eigenvectors, top - np.min(moduli), top, tol)
 
 
 def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagator:
@@ -118,6 +107,8 @@ def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagat
     gf = np.eye(s.dim, dtype=complex)
     for ev in s.events:
         gf = ev.factor() @ gf
+    if not np.all(np.isfinite(gf)):
+        raise OverflowError("one-period propagator overflowed double range")
     kappa = eig(gf, tol_eig)
     return FloquetPropagator(gf=gf, kappa=kappa, phase=classify_floquet_phase(kappa, tol_eig))
 
@@ -130,32 +121,16 @@ def build_floquet_superoperator(gf) -> np.ndarray:
     return np.kron(gf.T, gf.conj().T)
 
 
-def _multiplier_residual(gf: np.ndarray, op: np.ndarray, lam: complex) -> float:
-    return hs_norm(gf.conj().T @ op @ gf - lam * op)
+def _sandwich(gf: np.ndarray):
+    """The superoperator's action eta -> gf^dag eta gf."""
+    gdag = gf.conj().T
+    return lambda eta: gdag @ eta @ gf
 
 
 def stroboscopic_conserved(gf, tol: float = DEFAULT_TOL_RANK) -> list[EigenOperator]:
-    """Hermitian basis of the unit-multiplier eigenspace of the superoperator.
-
-    Extracted as the SVD null space of (superoperator - 1), which stays
-    reliable near EP contours where the eigenspace can be defective.
-    """
+    """Hermitian basis of the unit-multiplier eigenspace of the superoperator."""
     gf = as_matrix(gf)
-    n = gf.shape[0]
-    gmat = build_floquet_superoperator(gf)
-    basis = null_space(gmat - np.eye(n * n), tol)
-    ops = []
-    for b in hermitize_basis(basis, tol):
-        op = canonicalize_operator(b)
-        ops.append(
-            EigenOperator(
-                op=op,
-                rate=1.0 + 0.0j,
-                hermitian=True,
-                residual=_multiplier_residual(gf, op, 1.0),
-            )
-        )
-    return ops
+    return null_space_operators(build_floquet_superoperator(gf), _sandwich(gf), 1.0, tol)
 
 
 def floquet_eigen_operators(
@@ -163,32 +138,18 @@ def floquet_eigen_operators(
     tol_eig: float = DEFAULT_TOL_EIG,
     tol_rank: float = DEFAULT_TOL_RANK,
 ) -> list[EigenOperator]:
-    """All N^2 eigen-operators of the Floquet superoperator.
+    """All N^2 eigen-operators of the Floquet superoperator, conserved first.
 
-    The ``rate`` field carries the stroboscopic multiplier lambda.
-    Unit-multiplier operators come Hermitized from the null-space route;
-    the rest from the eigendecomposition.
+    The ``rate`` field carries the stroboscopic multiplier lambda; the
+    conserved operators carry exactly 1.  A multiplier counts as 1 within
+    a tolerance relative to max|lambda|.
     """
     gf = as_matrix(gf)
     gmat = build_floquet_superoperator(gf)
     spectrum = eig(gmat, tol_eig)
-    lam = spectrum.eigenvalues
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
-    conserved = stroboscopic_conserved(gf, tol_rank)
-    others = []
-    for k in range(lam.size):
-        if abs(lam[k] - 1.0) <= UNIT_MULTIPLIER_REL_TOL * scale:
-            continue
-        op = canonicalize_operator(unvec(spectrum.eigenvectors[:, k]))
-        others.append(
-            EigenOperator(
-                op=op,
-                rate=complex(lam[k]),
-                hermitian=hs_norm(op - op.conj().T) <= HERMITIAN_FLAG_TOL,
-                residual=_multiplier_residual(gf, op, lam[k]),
-            )
-        )
-    others.sort(key=lambda e: (abs(e.rate - 1.0), np.angle(e.rate), abs(e.rate)))
+    conserved, others = split_eigen_operators(
+        gmat, spectrum, _sandwich(gf), 1.0, float(np.max(np.abs(spectrum.eigenvalues))), tol_rank
+    )
     return conserved + others
 
 
@@ -206,7 +167,7 @@ def recursive_floquet(eta1, gf, tol: float = 1e-8) -> RecursiveCandidates:
     """Both recursion candidates, tagged for independence from eta1."""
     eta1 = as_matrix(eta1)
     gf = as_matrix(gf)
-    if _multiplier_residual(gf, eta1, 1.0) > tol * max(hs_norm(eta1), 1e-300) * hs_norm(gf) ** 2:
+    if hs_norm(_sandwich(gf)(eta1) - eta1) > tol * max(hs_norm(eta1), 1e-300) * hs_norm(gf) ** 2:
         raise ValueError("eta1 is not stroboscopically conserved under gf")
     sym = 0.5 * (eta1 @ gf + gf.conj().T @ eta1)
     anti = -0.5j * (eta1 @ gf - gf.conj().T @ eta1)

@@ -133,11 +133,6 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def svd(a):
-    a = as_matrix(a)
-    return scipy.linalg.svd(a)
-
-
 def null_space(a, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 

@@ -5,12 +5,16 @@ The central object is the N^2 x N^2 matrix
 whose action on vec(eta) equals vec(-i(eta H - H^dag eta)).  Zero modes
 of L are conserved (intertwining) operators; the remaining eigenvectors
 are operators whose expectation values evolve as a single exponential.
+The eigen-operator core (``null_space_operators``, ``split_eigen_operators``)
+and the PT-phase test (``classify_phase``) here serve both this static path
+(L, target eigenvalue 0) and the Floquet path (gf^T kron gf^dag, target 1).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,8 +29,9 @@ from .linalg import (
 )
 from .vectorize import unvec, vec
 
-# relative threshold below which a superoperator eigenvalue counts as zero
-ZERO_RATE_REL_TOL = 1e-8
+# a superoperator eigenvalue lambda with |lambda - mu| <= this times the
+# path's scale belongs to the conserved (target mu) eigenspace
+TARGET_EIGENVALUE_REL_TOL = 1e-8
 HERMITIAN_FLAG_TOL = 1e-10
 
 
@@ -165,41 +170,51 @@ def hermitize_basis(vectors: np.ndarray, tol: float = DEFAULT_TOL_RANK) -> list[
     return basis
 
 
+def _eigen_operator(op: np.ndarray, lam: complex, action, hermitian: bool) -> EigenOperator:
+    residual = hs_norm(action(op) - lam * op)
+    return EigenOperator(op=op, rate=complex(lam), hermitian=hermitian, residual=residual)
+
+
+def null_space_operators(smat, action, mu: complex, tol_rank: float) -> list[EigenOperator]:
+    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace of S.
+
+    Extraction goes through the SVD null space of S - mu 1 rather than
+    the eigendecomposition, which stays robust at and near exceptional
+    points where S is defective.  ``action(op)`` applies S to an operator.
+    """
+    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank)
+    return [
+        _eigen_operator(canonicalize_operator(b), mu, action, True)
+        for b in hermitize_basis(basis, tol_rank)
+    ]
+
+
+def split_eigen_operators(
+    smat, spectrum: Spectrum, action, mu: complex, scale: float, tol_rank: float
+) -> tuple[list[EigenOperator], list[EigenOperator]]:
+    """Eigen-operators of S (eigendecomposed in ``spectrum``), split into (conserved, others).
+
+    The conserved ones come from ``null_space_operators``; the others are
+    the eigenpairs with |lambda - mu| > TARGET_EIGENVALUE_REL_TOL * scale,
+    sorted by (|lambda - mu|, arg lambda, |lambda|).
+    """
+    tol = TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
+    others = []
+    for lam, v in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
+        if abs(lam - mu) > tol:
+            op = canonicalize_operator(unvec(v))
+            herm = hs_norm(op - op.conj().T) <= HERMITIAN_FLAG_TOL
+            others.append(_eigen_operator(op, lam, action, herm))
+    others.sort(key=lambda e: (abs(e.rate - mu), np.angle(e.rate), abs(e.rate)))
+    return null_space_operators(smat, action, mu, tol_rank), others
+
+
 def conserved_operators(
     h, tol_rank: float = DEFAULT_TOL_RANK
 ) -> list[EigenOperator]:
-    """Hermitian orthonormal basis of the zero-rate eigenspace of L.
-
-    Extraction goes through the SVD null space of L rather than the
-    eigendecomposition, which stays robust at and near exceptional
-    points where L is defective.
-    """
+    """Hermitian orthonormal basis of the zero-rate eigenspace of L."""
     h = as_matrix(h)
-    lmat = build_liouvillian(h)
-    basis = null_space(lmat, tol_rank)
-    ops = []
-    for b in hermitize_basis(basis, tol_rank):
-        op = canonicalize_operator(b)
-        ops.append(
-            EigenOperator(
-                op=op,
-                rate=0.0 + 0.0j,
-                hermitian=True,
-                residual=hs_norm(apply_liouvillian(h, op)),
-            )
-        )
-    return ops
-
-
-def _make_eigen_operator(h, raw_op: np.ndarray, rate: complex) -> EigenOperator:
-    op = canonicalize_operator(raw_op)
-    herm = hs_norm(op - op.conj().T) <= HERMITIAN_FLAG_TOL
-    residual = hs_norm(apply_liouvillian(h, op) - rate * op)
-    return EigenOperator(op=op, rate=complex(rate), hermitian=herm, residual=residual)
-
-
-def _canonical_sort(ops: list[EigenOperator]) -> list[EigenOperator]:
-    return sorted(ops, key=lambda e: (abs(e.rate), np.angle(e.rate)))
+    return null_space_operators(build_liouvillian(h), partial(apply_liouvillian, h), 0.0, tol_rank)
 
 
 def eigen_operators(
@@ -211,18 +226,14 @@ def eigen_operators(
     h = as_matrix(h)
     lmat = build_liouvillian(h)
     spectrum = eig(lmat, tol_eig)
-    scale = max(hs_norm(lmat), 1e-300)
-    conserved = conserved_operators(h, tol_rank)
-    transient = [
-        _make_eigen_operator(h, unvec(spectrum.eigenvectors[:, k]), spectrum.eigenvalues[k])
-        for k in range(spectrum.eigenvalues.size)
-        if abs(spectrum.eigenvalues[k]) > ZERO_RATE_REL_TOL * scale
-    ]
+    conserved, transient = split_eigen_operators(
+        lmat, spectrum, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
+    )
     return LiouvillianResult(
         liouvillian=lmat,
         liouvillian_spectrum=spectrum,
         conserved=conserved,
-        transient=_canonical_sort(transient),
+        transient=transient,
         hamiltonian_spectrum=eig(h, tol_eig),
     )
 
@@ -253,26 +264,31 @@ def recursive_tower(eta1, h, count: int, scale: float | None = None) -> list[np.
     return tower
 
 
-def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
-    """Classify the spectrum as PT-symmetric, PT-broken, or at an EP.
+def classify_phase(w, v, spread: float, scale: float, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
+    """PT phase from eigenvalues ``w`` (eigenvectors ``v`` as columns).
 
     An exceptional point requires both an eigenvalue collision and an
     ill-conditioned eigenvector matrix (the floating-point stand-in for
-    algebraic multiplicity exceeding geometric multiplicity).
+    algebraic multiplicity exceeding geometric multiplicity).  Otherwise it
+    is symmetric when ``spread`` (zero in the symmetric phase) <= tol * scale.
     """
+    scale = max(scale, 1e-300)
+    gaps = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.min(gaps) <= tol * scale and np.linalg.cond(v) > 1.0 / tol:
+        return PTPhase.EXCEPTIONAL_POINT
+    if spread <= tol * scale:
+        return PTPhase.SYMMETRIC
+    return PTPhase.BROKEN
+
+
+def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
+    """Classify the spectrum as PT-symmetric (all eigenvalues real), PT-broken, or at an EP."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be square")
     w, v = np.linalg.eig(h)
-    scale = max(hs_norm(h), 1e-300)
-    gaps = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    collided = bool(np.min(gaps) <= tol * scale)
-    if collided and np.linalg.cond(v) > 1.0 / tol:
-        return PTPhase.EXCEPTIONAL_POINT
-    if np.all(np.abs(w.imag) <= tol * scale):
-        return PTPhase.SYMMETRIC
-    return PTPhase.BROKEN
+    return classify_phase(w, v, float(np.max(np.abs(w.imag))), hs_norm(h), tol)
 
 
 def verify_pt_symmetry(h, p) -> float:

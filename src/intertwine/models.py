@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import Kick, Schedule, Segment, propagator
-from .linalg import as_matrix, hs_norm, matexp
+from .linalg import hs_norm, matexp
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -51,6 +51,8 @@ class DimerParams:
     waveform: Waveform = Waveform.STATIC
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.J, self.gamma, self.T])):
+            raise ValueError("J, gamma and T must be finite")
         if self.J <= 0:
             raise ValueError("J must be positive")
         if self.gamma < 0:
@@ -230,25 +232,6 @@ def analytic_floquet_coeffs(model: Model, p: DimerParams):
         gx=float(-np.sin(x) * sh / 2),
         gy=float(-np.sin(x) * (1 + ch) / 2),
         gz=float(-np.sin(x / 2) ** 2 * sh),
-    )
-
-
-def extract_quantum_coeffs(gf) -> QuantumCoeffs:
-    """Read (g0, gx, gy) back off a quantum-dimer propagator matrix."""
-    gf = as_matrix(gf)
-    g0 = (gf[0, 0] + gf[1, 1]) / 2
-    gx = (gf[0, 1] + gf[1, 0]) / (2j)
-    gy = (gf[1, 0] - gf[0, 1]) / (2j)
-    return QuantumCoeffs(float(g0.real), float(gx.real), float(gy.real))
-
-
-def extract_classical_coeffs(gf) -> ClassicalCoeffs:
-    gf = as_matrix(gf)
-    return ClassicalCoeffs(
-        g0=float(((gf[0, 0] + gf[1, 1]) / 2).real),
-        gx=float(((gf[0, 1] + gf[1, 0]) / 2).real),
-        gy=float(((gf[0, 1] - gf[1, 0]) / 2).real),
-        gz=float(((gf[0, 0] - gf[1, 1]) / 2).real),
     )
 
 

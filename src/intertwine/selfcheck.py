@@ -219,15 +219,9 @@ def check_time_shift(tols) -> CheckResult:
 
 
 def check_classical_ep_contour(tols) -> CheckResult:
-    from scipy.optimize import brentq
-
     worst = 0.0
-    for jt in np.linspace(0.6, 2.4, 5):
-        def disc(gj, jt=jt):
-            p = md.DimerParams(J=1.0, gamma=gj, T=jt, waveform=md.Waveform.DELTA_KICKS)
-            return md.numerical_discriminant(md.Model.CLASSICAL, p)
-
-        root = brentq(disc, 1e-6, 6.0, xtol=1e-12)
+    points = md.ep_contour(md.Model.CLASSICAL, np.linspace(0.6, 2.4, 5), (1e-6, 6.0), tol=1e-12, use_numerical=True)
+    for root, jt in points:
         worst = max(worst, abs(root * jt - np.arctanh(np.cos(jt / 2))))
     return CheckResult.from_measure(
         "classical EP contour matches cos(JT/2)=tanh(gT)", worst, tols.get("residual", 1e-6), "gap in gT"

@@ -107,10 +107,31 @@ class TestConfigErrors:
         ) == 1
 
     def test_bad_psi0_exits_1(self, tmp_path):
-        assert run(
-            ["trace", "--model", "quantum-dimer", "--psi0", "1,0",
-             "--out", str(tmp_path)]
-        ) == 1
+        for psi0 in ("1,0", "nan,0;1,0", "1,0;0,inf"):
+            assert run(
+                ["trace", "--model", "quantum-dimer", "--psi0", psi0,
+                 "--out", str(tmp_path)]
+            ) == 1
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["floquet", "--model", "classical-dimer", "--waveform", "square"],
+            ["static", "--model", "quantum-dimer", "--J", "0"],
+            ["static", "--model", "quantum-dimer", "--gamma", "nan"],
+            ["scan", "--model", "classical-dimer", "--waveform", "square", "--grid", "0:1:3,0.5:1:2"],
+            ["scan", "--model", "quantum-dimer", "--grid=-1:1:3,0.5:1:2"],
+            ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0:1:2"],
+            ["scan", "--model", "quantum-dimer", "--J", "0", "--grid", "0:1:3,0.5:1:2"],
+        ],
+        ids=lambda argv: " ".join(argv[2:]),
+    )
+    def test_invalid_dimer_exits_1(self, tmp_path, capsys, argv):
+        code, captured = run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_exits_1(self, tmp_path):
         assert run(
@@ -293,14 +314,11 @@ class TestScan:
             want = np.arctanh(np.cos(pt["jt"] / 2)) / pt["jt"]
             assert pt["gamma_over_j"] == pytest.approx(want, abs=1e-6)
             assert pt["analytic_gamma_over_j"] == pytest.approx(want, abs=1e-12)
-
-    def test_single_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INTERTWINE_THREADS", "1")
+        quantum = tmp_path / "quantum"
         assert run(
-            ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0.5:1:2",
-             "--out", str(tmp_path)]
+            ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0.5:1:2", "--out", str(quantum)]
         ) == 0
-        assert (tmp_path / "scan_grid.csv").exists()
+        assert len((quantum / "scan_grid.csv").read_text().splitlines()) == 1 + 3 * 2
 
     def test_requires_model(self, tmp_path):
         assert run(["scan", "--grid", "0:1:3,0.5:1:2", "--out", str(tmp_path)]) == 1

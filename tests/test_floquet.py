@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intertwine import floquet as fl
+from intertwine import liouville as lv
 from intertwine.linalg import hs_norm, matexp
 from intertwine.liouville import PTPhase
 from intertwine.models import (
@@ -18,9 +21,10 @@ from intertwine.models import (
     quantum_dimer,
     quantum_hamiltonian,
 )
+from intertwine.selfcheck import match_spectra
 from intertwine.vectorize import vec
 
-from conftest import random_complex
+from conftest import random_complex, random_pt_symmetric
 
 
 def fig1_params():
@@ -338,3 +342,50 @@ class TestEvolveTrace:
         sched = quantum_dimer(fig1_params())
         with pytest.raises(ValueError):
             fl.evolve_trace(sched, np.zeros(2), [SIGMA_X])
+
+
+def _hs_projector(ops):
+    q = np.column_stack([vec(e.op) for e in ops])
+    return q @ q.conj().T
+
+
+class TestSharedCoreProperties:
+    """The static path and the one-segment Floquet path G = exp(-iHT) agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        g=st.floats(0.0, 1.5),
+    )
+    def test_static_and_floquet_paths_agree(self, n, seed, g):
+        h0 = random_pt_symmetric(np.random.default_rng(seed), n)
+        # Hermitian and anti-Hermitian parts of a PT-symmetric H are each
+        # PT-symmetric, so g tunes from the symmetric into the broken phase
+        h = 0.5 * (h0 + h0.conj().T) + 0.5 * g * (h0 - h0.conj().T)
+        scale = hs_norm(h)
+        eps, v = np.linalg.eig(h)
+        gaps = np.abs(eps[:, None] - eps[None, :])[~np.eye(n, dtype=bool)]
+        assume(gaps.min() > 1e-2 * scale and np.linalg.cond(v) < 1e3)  # away from EPs
+        rates = lv.predicted_rates(h)
+        assume(np.all((np.abs(rates) < 1e-10 * scale) | (np.abs(rates) > 1e-2 * scale)))
+        assume(np.all((np.abs(eps.imag) < 1e-10 * scale) | (np.abs(eps.imag) > 1e-2 * scale)))
+        # |rate| * T <= 1/2: no nonzero rate aliases to multiplier 1
+        t = 0.5 / np.max(np.abs(rates))
+
+        static = lv.eigen_operators(h)
+        sched = fl.Schedule(dim=n, events=[fl.Segment(t, h)])
+        fp = fl.propagator(sched)
+        ops = fl.floquet_eigen_operators(fp.gf)
+        floquet_conserved = [e for e in ops if e.rate == 1.0]
+
+        assert len(ops) == n * n
+        assert len(floquet_conserved) == len(static.conserved) >= n
+        assert np.allclose(
+            _hs_projector(floquet_conserved), _hs_projector(static.conserved), atol=1e-6
+        )
+        want = np.exp(np.array([e.rate for e in static.conserved + static.transient]) * t)
+        got = np.array([e.rate for e in ops])
+        assert match_spectra(want, got) <= 1e-8 * np.abs(want).max()
+        assert fp.phase is lv.classify_pt_phase(h)
+        assert fp.phase is not PTPhase.EXCEPTIONAL_POINT

@@ -137,12 +137,6 @@ class TestEig:
 
 
 class TestSVDNullRank:
-    def test_svd_reconstruction(self, rng):
-        a = random_complex(rng, 6, 4)
-        u, s, vh = linalg.svd(a)
-        recon = (u[:, : s.size] * s) @ vh
-        assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
-
     def test_full_rank_has_empty_null_space(self):
         assert linalg.null_space(np.eye(4)).shape == (4, 0)
 
