@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -148,7 +149,11 @@ def parse_schedule(obj) -> fl.Schedule:
             seg = ev["segment"]
             if "duration" not in seg or "h" not in seg:
                 raise ConfigError(f"event {i}: segment needs 'duration' and 'h'")
-            events.append(fl.Segment(float(seg["duration"]), parse_matrix(seg["h"])))
+            h = parse_matrix(seg["h"])
+            try:
+                events.append(fl.Segment(float(seg["duration"]), h))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"event {i}: {exc}") from exc
         elif "kick" in ev:
             if "k" not in ev["kick"]:
                 raise ConfigError(f"event {i}: kick needs 'k'")
@@ -236,7 +241,10 @@ def resolve_schedule(args, periodic: bool) -> fl.Schedule:
         obj = _load_json(args.input)
         if "matrix" in obj:
             h = parse_matrix(obj["matrix"])
-            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
+            try:
+                return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
+            except ValueError as exc:
+                raise ConfigError(f"--JT {args.JT!r}: {exc}") from exc
         return parse_schedule(obj)
     model = _model_from_args(args)
     waveform = _waveform_from_args(args, _default_waveform(model, periodic))
@@ -468,17 +476,38 @@ def _write_gnuplot(out: Path, series: fl.TraceSeries, ref: np.ndarray) -> None:
     (out / "trace.gp").write_text("\n".join(script) + "\n")
 
 
-def _scan_point(model: md.Model, waveform: md.Waveform, gj: float, jt: float, args):
-    sched = _dimer_schedule(args, model, waveform, gj, jt)
-    if waveform is md.Waveform.STATIC:
-        h = sched.events[0].generator
-        phase = lv.classify_pt_phase(h, args.tol_eig)
-        w = np.linalg.eigvals(h)
-        measure = float(np.max(np.abs(w.imag)))
-        return phase.value, measure
-    fp = fl.propagator(sched, args.tol_eig)
-    moduli = np.abs(fp.kappa.eigenvalues)
-    return fp.phase.value, float(np.max(moduli) / max(np.min(moduli), 1e-300))
+def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, tol_eig: float):
+    """Per point of a batched dimer schedule, axes (JT, gamma/J = ``gammas``): PT
+    phase, measure, discriminant and failure cause.
+
+    The measure is the kappa ratio max|kappa|/min|kappa| of a periodic
+    drive and max|Im eps| of a static one.  A failed point has a nonempty
+    cause.  The discriminant needs no eigensolve, so a point that failed
+    only the eigensolver's contract keeps it; it is NaN where the product
+    or the kappa ratio is not finite, and the contour skips the intervals
+    touching such a point.
+    """
+    shape = sched.batch_shape
+    # overflow is recorded per point, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if waveform is md.Waveform.STATIC:
+            h = sched.events[0].generator
+            phase = lv.classify_pt_phase(h, tol_eig)
+            measure = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1)
+            # both builtin static dimers break PT at gamma = J
+            values = 1.0 - gammas * gammas
+            failed = np.full(shape, "", dtype=object)
+        else:
+            fp = fl.propagator(sched, tol_eig)
+            phase, failed = fp.phase, fp.failed
+            moduli = np.abs(fp.kappa.eigenvalues)
+            measure = np.max(moduli, axis=-1) / np.maximum(np.min(moduli, axis=-1), 1e-300)
+            failed[~np.isfinite(measure)] = "kappa ratio is not finite"
+            usable = np.isfinite(fp.gf).all(axis=(-2, -1)) & np.isfinite(measure)
+            values = np.full(shape, np.nan)
+            values[usable] = md.discriminant(fp.gf[usable])
+    phase, measure, values = (np.broadcast_to(x, shape) for x in (phase, measure, values))
+    return phase, measure, values, failed
 
 
 def run_scan(args) -> int:
@@ -487,34 +516,43 @@ def run_scan(args) -> int:
     model = _model_from_args(args)
     waveform = _waveform_from_args(args, _default_waveform(model, periodic=True))
     gammas, jts = parse_grid(args.grid)
-    # the grid's corners bound every point (and every contour bisection)
-    for gj in (gammas[0], gammas[-1]):
-        for jt in (jts[0], jts[-1]):
-            _dimer_schedule(args, model, waveform, gj, jt)
+    # one batched schedule, axes (jt, gamma); building it validates every point
+    sched = _dimer_schedule(args, model, waveform, gammas, jts[:, None])
     out = _outdir(args)
     fmts = _formats(args)
 
-    failures = []
-    measures = []
-    lines = ["gamma_over_j,jt,phase,kappa_ratio"]
-    for jt in jts:
-        for gj in gammas:
-            try:
-                phase, measure = _scan_point(model, waveform, gj, jt, args)
-            except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
-                # per-point failures are recorded, not fatal; "nan" marks
-                # the failed point, it is not a computed number
-                failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": str(exc)})
-                lines.append(f"{_r(gj)},{_r(jt)},error,nan")
-                continue
-            measures.append(measure)
-            lines.append(f"{_r(gj)},{_r(jt)},{phase},{_r(measure)}")
-    if "csv" in fmts:
-        path = out / "scan_grid.csv"
-        _require_finite(path, measures)
-        path.write_text("\n".join(lines) + "\n")
+    phase, measure, values, failed = _scan_grid(sched, waveform, gammas, args.tol_eig)
 
-    contour = _refine_contour(model, waveform, gammas, jts, args)
+    failures = []
+    lines = ["gamma_over_j,jt,phase,kappa_ratio"]
+    for i, jt in enumerate(jts.tolist()):
+        for k, gj in enumerate(gammas.tolist()):
+            if failed[i, k]:
+                failures.append({"gamma_over_j": gj, "jt": jt, "error": failed[i, k]})
+                lines.append(f"{_r(gj)},{_r(jt)},error,nan")
+            else:
+                lines.append(f"{_r(gj)},{_r(jt)},{phase[i, k].value},{_r(measure[i, k])}")
+    if "csv" in fmts:
+        (out / "scan_grid.csv").write_text("\n".join(lines) + "\n")
+
+    def disc(gj: float, jt: float) -> float:
+        if waveform is md.Waveform.STATIC:
+            return 1.0 - gj * gj
+        p = md.DimerParams(J=args.J, gamma=gj * args.J, T=jt / args.J, waveform=waveform)
+        return md.numerical_discriminant(model, p)
+
+    contour = []
+    for jt, row in zip(jts, values):
+        analytic = None
+        if waveform is md.Waveform.DELTA_KICKS and model is md.Model.CLASSICAL:
+            try:
+                analytic = md.classical_ep_gamma(jt, args.J)
+            except ValueError:
+                pass
+        elif waveform is md.Waveform.STATIC:
+            analytic = 1.0
+        for root in md.contour_roots(disc, gammas, row, jt, xtol=1e-10, floor=1e-9):
+            contour.append((root, float(jt), analytic))
     if "csv" in fmts:
         clines = ["gamma_over_j,jt,analytic_gamma_over_j"]
         for gj, jt, ana in contour:
@@ -540,41 +578,6 @@ def run_scan(args) -> int:
     return 0
 
 
-def _refine_contour(model, waveform, gammas, jts, args):
-    """Bisection refinement of phase-boundary crossings along each JT row."""
-    from scipy.optimize import brentq
-
-    contour = []
-    for jt in jts:
-        def disc(gj, jt=jt):
-            p = md.DimerParams(J=args.J, gamma=gj * args.J, T=jt / args.J, waveform=waveform)
-            if waveform is md.Waveform.STATIC:
-                # both builtin static dimers break PT at gamma = J
-                return 1.0 - gj * gj
-            return md.numerical_discriminant(model, p)
-
-        vals = [disc(gj) for gj in gammas]
-        for i in range(len(gammas) - 1):
-            lo, hi = gammas[i], gammas[i + 1]
-            if lo == hi or vals[i] == 0.0 or vals[i] * vals[i + 1] > 0:
-                continue
-            lo = max(lo, 1e-9)
-            try:
-                root = brentq(disc, lo, hi, xtol=1e-10)
-            except ValueError:
-                continue
-            analytic = None
-            if waveform is md.Waveform.DELTA_KICKS and model is md.Model.CLASSICAL:
-                try:
-                    analytic = md.classical_ep_gamma(jt, args.J)
-                except ValueError:
-                    pass
-            elif waveform is md.Waveform.STATIC:
-                analytic = 1.0
-            contour.append((float(root), float(jt), analytic))
-    return contour
-
-
 def run_verify(args) -> int:
     tols = {}
     if args.tol_override is not None:
@@ -595,6 +598,7 @@ def run_verify(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intertwine",
@@ -614,38 +618,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", default="csv,json", help="subset of csv,json,gnuplot")
 
-    p_static = sub.add_parser("static", help="static-Hamiltonian analysis")
-    common(p_static)
-    p_static.set_defaults(func=run_static)
+    common(sub.add_parser("static", help="static-Hamiltonian analysis"))
 
-    p_floquet = sub.add_parser("floquet", help="one-period propagator analysis")
-    common(p_floquet)
-    p_floquet.set_defaults(func=run_floquet)
+    common(sub.add_parser("floquet", help="one-period propagator analysis"))
 
     p_trace = sub.add_parser("trace", help="normalized expectation-value traces")
     common(p_trace)
     p_trace.add_argument("--psi0", help="initial state as 're,im;re,im'")
     p_trace.add_argument("--steps-per-period", type=int, default=200)
     p_trace.add_argument("--periods", type=int, default=10)
-    p_trace.set_defaults(func=run_trace)
 
     p_scan = sub.add_parser("scan", help="phase diagram over (gamma/J, JT)")
     common(p_scan)
     p_scan.add_argument("--grid", default="0:2:21,0.2:3:15", help="gmin:gmax:n,tmin:tmax:n")
-    p_scan.set_defaults(func=run_scan)
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant suite")
     p_verify.add_argument("--tol-override", type=float, default=None,
                           help="replace every check threshold by this value")
-    p_verify.set_defaults(func=run_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so the cached parser holds no command function
+    command = globals()[f"run_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL_EIG,
     DEFAULT_TOL_RANK,
+    NumericalError,
     Spectrum,
     as_matrix,
     eig,
@@ -34,28 +35,41 @@ from .liouville import (
 
 @dataclass
 class Segment:
-    """Constant-Hamiltonian stretch; propagates as exp(-i H duration)."""
+    """Constant-Hamiltonian stretch; propagates as exp(-i H duration).
 
-    duration: float
+    ``duration`` may be an array and ``generator`` a stack (..., N, N);
+    their leading axes are batch axes, broadcast against each other.
+    """
+
+    duration: np.ndarray
     generator: np.ndarray
 
     def __post_init__(self):
-        self.generator = as_matrix(self.generator)
-        if self.duration < 0:
-            raise ValueError("segment duration must be non-negative")
+        self.generator = as_matrix(self.generator, batched=True)
+        self.duration = np.asarray(self.duration, dtype=float)
+        if not (np.isfinite(self.duration) & (self.duration >= 0)).all():
+            raise ValueError("segment duration must be finite and non-negative")
+
+    @property
+    def batch_shape(self) -> tuple:
+        return np.broadcast_shapes(self.duration.shape, self.generator.shape[:-2])
 
     def factor(self) -> np.ndarray:
-        return matexp(-1j * self.duration * self.generator)
+        return matexp((-1j * self.duration)[..., None, None] * self.generator)
 
 
 @dataclass
 class Kick:
-    """Instantaneous non-unitary factor exp(K); K is dimensionless."""
+    """Instantaneous non-unitary factor exp(K); K is dimensionless (or a stack of them)."""
 
     generator: np.ndarray
 
     def __post_init__(self):
-        self.generator = as_matrix(self.generator)
+        self.generator = as_matrix(self.generator, batched=True)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.generator.shape[:-2]
 
     def factor(self) -> np.ndarray:
         return matexp(self.generator)
@@ -63,7 +77,11 @@ class Kick:
 
 @dataclass
 class Schedule:
-    """One period of a piecewise-constant drive, events in time order."""
+    """One period of a piecewise-constant drive, events in time order.
+
+    The events' batch axes broadcast to the schedule's ``batch_shape``:
+    a batched schedule is one drive per batch point.
+    """
 
     dim: int
     events: list
@@ -76,41 +94,85 @@ class Schedule:
         for ev in self.events:
             if not isinstance(ev, (Segment, Kick)):
                 raise TypeError(f"unsupported event type {type(ev).__name__}")
-            if ev.generator.shape != (self.dim, self.dim):
+            if ev.generator.shape[-2:] != (self.dim, self.dim):
                 raise ValueError(
                     f"event generator shape {ev.generator.shape} != ({self.dim}, {self.dim})"
                 )
-        if self.period <= 0:
+        self.batch_shape = np.broadcast_shapes(*(ev.batch_shape for ev in self.events))
+        if (np.asarray(self.period) <= 0).any():
             raise ValueError("total segment duration must be positive")
 
     @property
-    def period(self) -> float:
+    def period(self) -> float | np.ndarray:
         return sum(ev.duration for ev in self.events if isinstance(ev, Segment))
 
 
 @dataclass
 class FloquetPropagator:
+    """One-period propagator gf, its eigendecomposition kappa and PT phase.
+
+    Over a batched schedule every field carries the batch axes, and
+    ``failed`` names per batch point why its analysis failed ("" where it
+    did not): a product that is not finite, or an eigendecomposition that
+    misses the contract of ``linalg.eig``.  At a failed point gf is left
+    as composed and kappa and phase describe the identity in its place.
+    """
+
     gf: np.ndarray
     kappa: Spectrum
-    phase: PTPhase
+    phase: PTPhase | np.ndarray
+    failed: np.ndarray
 
 
-def classify_floquet_phase(kappa: Spectrum, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
+def classify_floquet_phase(kappa: Spectrum, tol: float = DEFAULT_TOL_EIG):
     """PT phase from the moduli of the one-period propagator eigenvalues (all equal: symmetric)."""
     moduli = np.abs(kappa.eigenvalues)
-    top = float(np.max(moduli))
-    return classify_phase(kappa.eigenvalues, kappa.eigenvectors, top - np.min(moduli), top, tol)
+    top = np.max(moduli, axis=-1)
+    return classify_phase(kappa.eigenvalues, kappa.eigenvectors, top - np.min(moduli, axis=-1), top, tol)
+
+
+def compose(s: Schedule) -> np.ndarray:
+    """One-period time-ordered product, shape batch_shape + (dim, dim); earliest event acts first.
+
+    A schedule without batch axes raises OverflowError when the product
+    is not finite; in a batched one an overflowed batch point is left
+    non-finite, to be masked by the caller (a factor without batch axes
+    is shared by every point, and still raises).
+    """
+    gf = np.eye(s.dim, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ev in s.events:
+            gf = ev.factor() @ gf
+    if not s.batch_shape and not np.isfinite(gf).all():
+        raise OverflowError("one-period propagator overflowed double range")
+    return gf
 
 
 def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagator:
-    """One-period time-ordered product; earliest event acts first."""
-    gf = np.eye(s.dim, dtype=complex)
-    for ev in s.events:
-        gf = ev.factor() @ gf
-    if not np.all(np.isfinite(gf)):
-        raise OverflowError("one-period propagator overflowed double range")
-    kappa = eig(gf, tol_eig)
-    return FloquetPropagator(gf=gf, kappa=kappa, phase=classify_floquet_phase(kappa, tol_eig))
+    """The one-period product with its eigendecomposition and PT phase, per batch point.
+
+    Without batch axes a failure raises (OverflowError, NumericalError);
+    in a batched schedule it is recorded in ``failed`` for its point alone.
+    """
+    gf = compose(s)
+    failed = np.full(s.batch_shape, "", dtype=object)
+    failed[~np.isfinite(gf).all(axis=(-2, -1))] = "one-period propagator overflowed double range"
+    a = np.where((failed == "")[..., None, None], gf, np.eye(s.dim))
+    try:
+        kappa = eig(a, tol_eig)
+    except NumericalError:
+        if not s.batch_shape:
+            raise
+        # some point misses eig's contract: find each one, with the message
+        # a call for that point alone gives, and solve the others together
+        for idx in np.ndindex(s.batch_shape):
+            try:
+                eig(a[idx], tol_eig)
+            except NumericalError as exc:
+                failed[idx] = str(exc)
+                a[idx] = np.eye(s.dim)
+        kappa = eig(a, tol_eig)
+    return FloquetPropagator(gf, kappa, classify_floquet_phase(kappa, tol_eig), failed)
 
 
 def build_floquet_superoperator(gf) -> np.ndarray:
@@ -219,6 +281,8 @@ def time_shift(s: Schedule, t0: float, tol: float = 1e-9):
     the cyclic rotation of the events, and its propagator equals
     S gf S^-1 (verified internally).
     """
+    if s.batch_shape:
+        raise ValueError("time_shift needs a schedule without batch axes")
     if not 0.0 <= t0 < s.period:
         raise ValueError(f"t0 must lie in [0, period), got {t0}")
     if t0 == 0.0:
@@ -270,6 +334,8 @@ def evolve_trace(
     samples are generated by repeated application of the one-period
     propagator so they do not accumulate substep drift.
     """
+    if s.batch_shape:
+        raise ValueError("evolve_trace needs a schedule without batch axes")
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi0.size != s.dim:
         raise ValueError(f"psi0 has length {psi0.size}, expected {s.dim}")

@@ -20,20 +20,24 @@ class NumericalError(RuntimeError):
     """A linear-algebra routine failed to meet its accuracy contract."""
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and coerce input to a finite 2D complex128 array."""
+def as_matrix(a, batched: bool = False) -> np.ndarray:
+    """Validate and coerce input to a finite 2D complex128 array.
+
+    With ``batched`` a stack of shape (..., m, n) is accepted too; its
+    leading axes are batch axes.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (batched and m.ndim > 2):
         raise ValueError(f"expected a 2D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if 0 in m.shape[-2:]:
         raise ValueError(f"empty matrix of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
 def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     return m
 
@@ -64,30 +68,39 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+def _vector_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of complex ``x``.
+
+    Each norm is summed as ``np.linalg.norm`` sums one complex vector (a
+    dot product of the real parts plus one of the imaginary parts), so a
+    stack gives the same bits as one call per vector.
+    """
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def hs_norm(a):
+    """Frobenius norm; a stack (..., m, n) gives an array with one norm per matrix."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    return _vector_norms(a.reshape(*a.shape[:-2], -1))
 
 
 def matexp(a) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade approximants.
 
     Deliberately eigendecomposition-free so it stays correct for
-    defective inputs (exceptional points).
+    defective inputs (exceptional points).  ``a`` is one matrix or a
+    stack (..., n, n), exponentiated matrix by matrix.  One matrix whose
+    exponential is not finite raises OverflowError; in a stack such a
+    slice is left as computed, for the caller to mask.
     """
-    a = _require_square(as_matrix(a))
+    a = _require_square(as_matrix(a, batched=True))
     e = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(e)):
+    if a.ndim == 2 and not np.isfinite(e).all():
         raise OverflowError("matrix exponential overflowed double range")
     return e
-
-
-def fix_vector_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude entry is real and >= 0."""
-    i = int(np.argmax(np.abs(v)))
-    piv = v[i]
-    if abs(piv) == 0.0:
-        return v
-    return v * (np.conj(piv) / abs(piv))
 
 
 @dataclass
@@ -95,7 +108,9 @@ class Spectrum:
     """Eigenvalue/right-eigenvector bundle with residual diagnostics.
 
     Eigenvector columns have unit norm and a fixed phase (largest entry
-    real non-negative) so that downstream output is deterministic.
+    real non-negative) so that downstream output is deterministic.  For
+    a stack the batch axes come first: eigenvalues (..., n),
+    eigenvectors (..., n, n), residuals (..., n).
     """
 
     eigenvalues: np.ndarray
@@ -104,31 +119,40 @@ class Spectrum:
 
 
 def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
-    """Full right-eigendecomposition of a general complex matrix."""
+    """Full right-eigendecomposition of a general complex matrix or stack (..., n, n)."""
     if tol_eig <= 0:
         raise ValueError("tol_eig must be positive")
-    a = _require_square(as_matrix(a))
+    a = _require_square(as_matrix(a, batched=True))
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     # deterministic order: by real part, then imaginary part
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            raise NumericalError(f"eigenvector {k} is numerically zero")
-        v[:, k] = fix_vector_phase(col / nrm)
-    residuals = np.linalg.norm(a @ v - v * w[None, :], axis=0)
-    scale = np.linalg.norm(a)
-    bad = np.nonzero(residuals > tol_eig * max(scale, 1e-300))[0]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    nrm = _vector_norms(v.swapaxes(-1, -2))[..., None, :]
+    if np.any(nrm == 0.0):
+        raise NumericalError(f"eigenvector {np.argwhere(nrm == 0.0)[0, -1]} is numerically zero")
+    v = v / nrm
+    # fix each column's phase: its largest-magnitude entry real and >= 0;
+    # that entry's modulus by hypot, as abs() of one complex number takes
+    # it, so each column gets the bits of a one-vector computation
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    size = np.hypot(piv.real, piv.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(size == 0.0, v, v * (np.conj(piv) / size))
+    residuals = np.linalg.norm(a @ v - v * w[..., None, :], axis=-2)
+    scale = np.asarray(hs_norm(a))[..., None]
+    bad = np.argwhere(residuals > tol_eig * np.maximum(scale, 1e-300))
     if bad.size:
         raise NumericalError(
             "eigenpairs failed the residual contract: "
-            + ", ".join(f"k={k} (residual={residuals[k]:.3e})" for k in bad)
+            + ", ".join(
+                ("" if at.size == 1 else f"matrix {tuple(at[:-1].tolist())} ")
+                + f"k={at[-1]} (residual={residuals[tuple(at)]:.3e})"
+                for at in bad
+            )
         )
     return Spectrum(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
@@ -157,11 +181,7 @@ def rank(a, tol_rank: float = DEFAULT_TOL_RANK):
     """
     if tol_rank <= 0:
         raise ValueError("tol_rank must be positive")
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or 0 in a.shape[-2:]:
-        raise ValueError(f"expected matrices with non-empty last two axes, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
+    a = as_matrix(a, batched=True)
     s = np.linalg.svd(a, compute_uv=False)
     counts = np.count_nonzero(s > tol_rank * s[..., :1], axis=-1)
     return int(counts) if a.ndim == 2 else counts

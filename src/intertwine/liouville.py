@@ -41,6 +41,9 @@ class PTPhase(enum.Enum):
     EXCEPTIONAL_POINT = "exceptional-point"
 
 
+_PHASES = np.array(list(PTPhase), dtype=object)  # indexed by classify_phase's code
+
+
 @dataclass
 class EigenOperator:
     """An operator together with its superoperator eigenvalue.
@@ -264,31 +267,37 @@ def recursive_tower(eta1, h, count: int, scale: float | None = None) -> list[np.
     return tower
 
 
-def classify_phase(w, v, spread: float, scale: float, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
+def classify_phase(w, v, spread, scale, tol: float = DEFAULT_TOL_EIG):
     """PT phase from eigenvalues ``w`` (eigenvectors ``v`` as columns).
 
     An exceptional point requires both an eigenvalue collision and an
     ill-conditioned eigenvector matrix (the floating-point stand-in for
     algebraic multiplicity exceeding geometric multiplicity).  Otherwise it
     is symmetric when ``spread`` (zero in the symmetric phase) <= tol * scale.
+    Stacked inputs (w (..., n), v (..., n, n), spread and scale (...))
+    give an object array of phases with the batch shape.
     """
-    scale = max(scale, 1e-300)
-    gaps = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) <= tol * scale and np.linalg.cond(v) > 1.0 / tol:
-        return PTPhase.EXCEPTIONAL_POINT
-    if spread <= tol * scale:
-        return PTPhase.SYMMETRIC
-    return PTPhase.BROKEN
+    scale = np.maximum(scale, 1e-300)
+    gaps = np.abs(w[..., :, None] - w[..., None, :])
+    n = w.shape[-1]
+    gaps[..., range(n), range(n)] = np.inf
+    exceptional = np.asarray(np.min(gaps, axis=(-2, -1)) <= tol * scale)
+    if np.any(exceptional):
+        exceptional[exceptional] = np.linalg.cond(v[exceptional]) > 1.0 / tol
+    code = np.where(exceptional, 2, np.where(spread <= tol * scale, 0, 1))
+    return _PHASES[code]
 
 
-def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG) -> PTPhase:
-    """Classify the spectrum as PT-symmetric (all eigenvalues real), PT-broken, or at an EP."""
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
+def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
+    """Classify the spectrum as PT-symmetric (all eigenvalues real), PT-broken, or at an EP.
+
+    ``h`` is one Hamiltonian or a stack (..., N, N), classified matrix by matrix.
+    """
+    h = as_matrix(h, batched=True)
+    if h.shape[-2] != h.shape[-1]:
         raise ValueError("Hamiltonian must be square")
     w, v = np.linalg.eig(h)
-    return classify_phase(w, v, float(np.max(np.abs(w.imag))), hs_norm(h), tol)
+    return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), hs_norm(h), tol)
 
 
 def verify_pt_symmetry(h, p) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import Kick, Schedule, Segment, propagator
+from .floquet import Kick, Schedule, Segment, compose
 from .linalg import hs_norm, matexp
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,19 +45,22 @@ class Waveform(enum.Enum):
 
 @dataclass
 class DimerParams:
+    """Dimer parameters; ``gamma`` and ``T`` may be arrays, broadcast into
+    the batch axes of the schedules built from them."""
+
     J: float = 1.0
-    gamma: float = 0.5
-    T: float = 1.0
+    gamma: float | np.ndarray = 0.5
+    T: float | np.ndarray = 1.0
     waveform: Waveform = Waveform.STATIC
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.J, self.gamma, self.T])):
+        if not (np.isfinite(self.J) & np.isfinite(self.gamma) & np.isfinite(self.T)).all():
             raise ValueError("J, gamma and T must be finite")
         if self.J <= 0:
             raise ValueError("J must be positive")
-        if self.gamma < 0:
+        if (np.asarray(self.gamma) < 0).any():
             raise ValueError("gamma must be non-negative")
-        if self.T <= 0:
+        if (np.asarray(self.T) <= 0).any():
             raise ValueError("T must be positive")
 
     @property
@@ -66,12 +69,14 @@ class DimerParams:
         return complex(np.sqrt(complex(self.J**2 - self.gamma**2)))
 
 
-def quantum_hamiltonian(J: float, gamma: float, sign: float = 1.0) -> np.ndarray:
-    return J * SIGMA_X + 1j * sign * gamma * SIGMA_Z
+def quantum_hamiltonian(J: float, gamma, sign: float = 1.0) -> np.ndarray:
+    """J sigma_x + i sign gamma sigma_z; an array of gamma gives a stack."""
+    return J * SIGMA_X + np.multiply.outer(1j * sign * gamma, SIGMA_Z)
 
 
-def classical_hamiltonian(J: float, gamma: float, sign: float = 1.0) -> np.ndarray:
-    return J * SIGMA_Y + 1j * sign * gamma * SIGMA_Z
+def classical_hamiltonian(J: float, gamma, sign: float = 1.0) -> np.ndarray:
+    """J sigma_y + i sign gamma sigma_z; an array of gamma gives a stack."""
+    return J * SIGMA_Y + np.multiply.outer(1j * sign * gamma, SIGMA_Z)
 
 
 def quantum_dimer(p: DimerParams) -> Schedule:
@@ -105,15 +110,16 @@ def classical_dimer(p: DimerParams) -> Schedule:
             dim=2,
             events=[
                 Segment(p.T / 2, free),
-                Kick(-g * SIGMA_Z),
+                Kick(np.multiply.outer(-g, SIGMA_Z)),
                 Segment(p.T / 2, free),
-                Kick(+g * SIGMA_Z),
+                Kick(np.multiply.outer(+g, SIGMA_Z)),
             ],
         )
     raise ValueError("classical dimer supports only static or kicked waveforms")
 
 
 def build_schedule(model: Model, p: DimerParams) -> Schedule:
+    """The model's schedule, batched over the broadcast shape of p.gamma and p.T."""
     return quantum_dimer(p) if model is Model.QUANTUM else classical_dimer(p)
 
 
@@ -240,12 +246,39 @@ def analytic_discriminant(model: Model, p: DimerParams) -> float:
     return analytic_floquet_coeffs(model, p).discriminant()
 
 
-def numerical_discriminant(model: Model, p: DimerParams) -> float:
-    """Same indicator, from the composed propagator: det - (tr/2)^2."""
-    gf = propagator(build_schedule(model, p)).gf
-    tr2 = (gf[0, 0] + gf[1, 1]) / 2
-    val = np.linalg.det(gf) - tr2 * tr2
-    return float(val.real)
+def discriminant(gf) -> np.ndarray:
+    """det - (tr/2)^2 of a 2x2 propagator or a stack of them: > 0 symmetric, < 0 broken."""
+    tr2 = (gf[..., 0, 0] + gf[..., 1, 1]) / 2
+    return (np.linalg.det(gf) - tr2 * tr2).real
+
+
+def numerical_discriminant(model: Model, p: DimerParams):
+    """Same indicator as ``analytic_discriminant``, from the composed propagator (batched with p)."""
+    val = discriminant(compose(build_schedule(model, p)))
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def contour_roots(disc, gammas, values, jt: float, xtol: float, floor: float = -np.inf) -> list[float]:
+    """Roots of ``disc(gamma_over_j, jt)`` by Brent's method, one per sign change of a row.
+
+    ``values[k]`` is disc(gammas[k], jt), known from the caller's own
+    evaluation of the row; NaN marks a point that could not be evaluated.
+    An interval is skipped when its left value is 0, when its two values
+    have the same sign or one is NaN, and when Brent's method finds no
+    bracket on [max(left end, floor), right end].
+    """
+    from scipy.optimize import brentq
+
+    roots = []
+    for k in range(len(gammas) - 1):
+        lo, hi = gammas[k], gammas[k + 1]
+        if lo == hi or values[k] == 0.0 or not values[k] * values[k + 1] <= 0:
+            continue
+        try:
+            roots.append(float(brentq(disc, max(lo, floor), hi, args=(jt,), xtol=xtol)))
+        except ValueError:
+            continue
+    return roots
 
 
 def ep_contour(
@@ -260,8 +293,6 @@ def ep_contour(
 
     Raises when the bracket shows no sign change for some row.
     """
-    from scipy.optimize import brentq
-
     waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
 
     def disc(gamma_over_j: float, jt: float) -> float:
@@ -272,15 +303,14 @@ def ep_contour(
 
     points = []
     for jt in jt_values:
-        lo, hi = gamma_bracket
-        flo, fhi = disc(lo, jt), disc(hi, jt)
-        if flo == 0.0:
-            points.append((lo, float(jt)))
+        ends = [disc(g, jt) for g in gamma_bracket]
+        if ends[0] == 0.0:
+            points.append((gamma_bracket[0], float(jt)))
             continue
-        if flo * fhi > 0:
+        roots = contour_roots(disc, gamma_bracket, ends, jt, tol)
+        if not roots:
             raise ValueError(f"no sign change in gamma bracket {gamma_bracket} at JT={jt}")
-        root = brentq(disc, lo, hi, args=(jt,), xtol=tol)
-        points.append((float(root), float(jt)))
+        points.append((roots[0], float(jt)))
     return points
 
 

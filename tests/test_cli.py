@@ -9,7 +9,9 @@ import pytest
 from conftest import random_pt_symmetric
 from intertwine import cli
 from intertwine import floquet as fl
-from intertwine.linalg import NumericalError
+from intertwine import liouville as lv
+from intertwine import models as md
+from intertwine.linalg import DEFAULT_TOL_EIG, NumericalError
 
 
 def run(args, capsys=None):
@@ -132,6 +134,27 @@ class TestConfigErrors:
         assert code == 1
         assert captured.err.startswith("config error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, extra, source",
+        [
+            ("floquet", ["--JT", "-1"], {"matrix": [[0, 1], [1, 0]]}),
+            ("static", ["--JT", "0"], {"matrix": [[0, 1], [1, 0]]}),
+            ("floquet", ["--JT", "nan"], {"matrix": [[0, 1], [1, 0]]}),
+            ("floquet", ["--JT", "inf"], {"matrix": [[0, 1], [1, 0]]}),
+            ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": -1.0, "h": [[0, 1], [1, 0]]}}]}),
+            ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": "nan", "h": [[0, 1], [1, 0]]}}]}),
+        ],
+        ids=["negative-JT", "zero-JT", "nan-JT", "inf-JT", "negative-segment", "nan-segment"],
+    )
+    def test_invalid_input_schedule_exits_1(self, tmp_path, capsys, command, extra, source):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(source))
+        out = tmp_path / "out"
+        code, captured = run([command, "--input", str(path), *extra, "--out", str(out)], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert not out.exists()
 
     def test_unknown_format_exits_1(self, tmp_path):
         assert run(
@@ -322,6 +345,147 @@ class TestScan:
 
     def test_requires_model(self, tmp_path):
         assert run(["scan", "--grid", "0:1:3,0.5:1:2", "--out", str(tmp_path)]) == 1
+
+    def test_overflowing_points_are_recorded(self, tmp_path, capsys):
+        code, captured = run(
+            ["scan", "--model", "classical-dimer", "--grid", "0:400:3,1:3:2", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert captured.err == ""
+        rows = [line.split(",") for line in (tmp_path / "scan_grid.csv").read_text().splitlines()[1:]]
+        failed = [(float(r[0]), float(r[1])) for r in rows if r[2:] == ["error", "nan"]]
+        assert failed == [(200.0, 1.0), (400.0, 1.0), (200.0, 3.0), (400.0, 3.0)]
+        assert all(r[2] == "symmetric" for r in rows if float(r[0]) == 0.0)
+        report = load_json(tmp_path / "scan_report.json")
+        assert [(f["gamma_over_j"], f["jt"], f["error"]) for f in report["failures"]] == [
+            (200.0, 1.0, "kappa ratio is not finite"),
+            (400.0, 1.0, "one-period propagator overflowed double range"),
+            (200.0, 3.0, "one-period propagator overflowed double range"),
+            (400.0, 3.0, "one-period propagator overflowed double range"),
+        ]
+        # every interval touches a failed point
+        assert report["contour"] == []
+        assert (tmp_path / "contour.csv").read_text() == "gamma_over_j,jt,analytic_gamma_over_j\n"
+
+    @pytest.mark.parametrize(
+        "model, waveform, grid, J",
+        [
+            ("classical-dimer", "kicks", "0:2:11,0.5:3:6", "1.0"),
+            ("quantum-dimer", "square", "0:2:11,0.5:3:6", "1.0"),
+            ("classical-dimer", "kicks", "0.1:1.9:7,0.4:2.7:5", "2.0"),
+            ("quantum-dimer", "square", "0.1:1.9:7,1.5:3.1:5", "2.0"),
+            ("classical-dimer", "static", "0.5:2:7,1:1.5:2", "1.0"),
+            ("quantum-dimer", "static", "0:2:9,1:1.5:2", "2.0"),
+        ],
+    )
+    def test_tables_match_per_point_reference(self, tmp_path, model, waveform, grid, J):
+        argv = ["scan", "--model", model, "--waveform", waveform, "--grid", grid, "--J", J]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        want_grid, want_contour, want_failures = per_point_scan_tables(
+            md.Model(model), md.Waveform(waveform), *cli.parse_grid(grid), float(J))
+        assert (tmp_path / "scan_grid.csv").read_text() == want_grid
+        assert (tmp_path / "contour.csv").read_text() == want_contour
+        assert want_contour.count("\n") > 1
+        assert want_failures == []
+
+    @pytest.mark.parametrize("model, waveform", [("classical-dimer", "kicks"), ("quantum-dimer", "square")])
+    def test_eigensolver_failures_are_recorded_per_point(self, tmp_path, model, waveform):
+        # at --tol-eig 3e-16 some points miss eig's residual contract
+        grid = "0:2:11,0.5:3:6"
+        argv = ["scan", "--model", model, "--waveform", waveform, "--grid", grid, "--tol-eig", "3e-16"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        want_grid, want_contour, want_failures = per_point_scan_tables(
+            md.Model(model), md.Waveform(waveform), *cli.parse_grid(grid), 1.0, tol_eig=3e-16)
+        assert 0 < len(want_failures) < 66
+        assert (tmp_path / "scan_grid.csv").read_text() == want_grid
+        assert (tmp_path / "contour.csv").read_text() == want_contour
+        assert load_json(tmp_path / "scan_report.json")["failures"] == want_failures
+
+
+def per_point_scan_tables(model, waveform, gammas, jts, J, tol_eig=DEFAULT_TOL_EIG):
+    """scan_grid.csv, contour.csv and the failures computed one grid point at a time.
+
+    Each point gets its own scalar propagator (or Hamiltonian eigensolve,
+    for the static drive); a point whose eigensolve misses its contract
+    is a failure.  Each JT row is bracketed by evaluating its
+    discriminant at every grid point again and refined by brentq on the
+    scalar discriminant.
+    """
+    from scipy.optimize import brentq
+
+    def params(gj, jt):
+        return md.DimerParams(J=J, gamma=gj * J, T=jt / J, waveform=waveform)
+
+    static = waveform is md.Waveform.STATIC
+    grid = ["gamma_over_j,jt,phase,kappa_ratio"]
+    failures = []
+    for jt in jts:
+        for gj in gammas:
+            sched = md.build_schedule(model, params(gj, jt))
+            if static:
+                h = sched.events[0].generator
+                phase = lv.classify_pt_phase(h, tol_eig)
+                measure = np.max(np.abs(np.linalg.eigvals(h).imag))
+            else:
+                try:
+                    fp = fl.propagator(sched, tol_eig)
+                except NumericalError as exc:
+                    failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": str(exc)})
+                    grid.append(f"{float(gj)!r},{float(jt)!r},error,nan")
+                    continue
+                moduli = np.abs(fp.kappa.eigenvalues)
+                phase = fp.phase
+                measure = np.max(moduli) / max(np.min(moduli), 1e-300)
+            grid.append(f"{float(gj)!r},{float(jt)!r},{phase.value},{float(measure)!r}")
+
+    contour = ["gamma_over_j,jt,analytic_gamma_over_j"]
+    for jt in jts:
+        def disc(gj):
+            if static:
+                return 1.0 - gj * gj
+            gf = fl.propagator(md.build_schedule(model, params(gj, jt))).gf
+            tr2 = (gf[0, 0] + gf[1, 1]) / 2
+            return float((np.linalg.det(gf) - tr2 * tr2).real)
+
+        vals = [disc(gj) for gj in gammas]
+        for i in range(len(gammas) - 1):
+            if vals[i] == 0.0 or vals[i] * vals[i + 1] > 0:
+                continue
+            root = brentq(disc, max(gammas[i], 1e-9), gammas[i + 1], xtol=1e-10)
+            analytic = ""
+            if static:
+                analytic = repr(1.0)
+            elif model is md.Model.CLASSICAL and 0.0 < np.cos(jt / 2) < 1.0:
+                analytic = repr(md.classical_ep_gamma(jt, J))
+            contour.append(f"{float(root)!r},{float(jt)!r},{analytic}")
+    return "\n".join(grid) + "\n", "\n".join(contour) + "\n", failures
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_are_looked_up_per_call(self, monkeypatch):
+        cli.main(["verify", "--tol-override", "1"])
+        monkeypatch.setattr(cli, "run_verify", lambda args: 7)
+        assert cli.main(["verify"]) == 7
+
+    def test_second_command_sees_none_of_the_first_options(self, tmp_path):
+        first = ["trace", "--model", "quantum-dimer", "--gamma", "0.9", "--JT", "2",
+                 "--psi0", "1,0;0,1", "--periods", "2", "--steps-per-period", "3",
+                 "--format", "json", "--out", str(tmp_path / "trace")]
+        second = ["static", "--model", "classical-dimer", "--out", str(tmp_path / "a")]
+        assert run(first) == 0
+        args = cli.build_parser().parse_args(second)
+        assert args.command == "static"
+        assert (args.gamma, args.JT, args.format) == (0.5, 1.0, "csv,json")
+        assert not {"psi0", "periods", "steps_per_period", "grid"} & set(vars(args))
+        assert run(second) == 0
+        cli.build_parser.cache_clear()
+        assert run(second[:-1] + [str(tmp_path / "b")]) == 0
+        for name in ("static_report.json", "liouvillian_spectrum.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from intertwine import floquet as fl
 from intertwine import liouville as lv
-from intertwine.linalg import hs_norm, matexp
+from intertwine.linalg import NumericalError, hs_norm, matexp
 from intertwine.liouville import PTPhase
 from intertwine.models import (
     ID2,
@@ -17,7 +17,9 @@ from intertwine.models import (
     Model,
     Waveform,
     analytic_floquet_coeffs,
+    build_schedule,
     classical_dimer,
+    classical_ep_gamma,
     quantum_dimer,
     quantum_hamiltonian,
 )
@@ -51,6 +53,11 @@ class TestSchedule:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             fl.Segment(-1.0, SIGMA_X)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, [1.0, np.nan]])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError):
+            fl.Segment(duration, SIGMA_X)
 
 
 class TestPropagator:
@@ -106,6 +113,88 @@ class TestPropagator:
         hm = quantum_hamiltonian(1.0, 1.0, -1.0)
         poly = (ID2 - 1j * hm * T / 2) @ (ID2 - 1j * hp * T / 2)
         assert hs_norm(fp.gf - poly) < 1e-10
+
+
+def _grid_points(waveform):
+    """(gamma, T) arrays of shape (JT rows, gamma columns) with J = 1.
+
+    The static grid holds gamma = J; the kicked one also has a column on
+    the contour cos(JT/2) = tanh(gamma T).
+    """
+    jts = np.array([0.3, 1.0, 1.7, 2.9])
+    gammas = np.array([0.0, 0.4, 1.0, 1.3, 2.2])
+    g, t = np.meshgrid(gammas, jts)
+    if waveform is Waveform.DELTA_KICKS:
+        on_contour = np.array([classical_ep_gamma(jt) for jt in jts])
+        g = np.column_stack([g, on_contour])
+        t = np.column_stack([t, jts])
+    return g, t
+
+
+class TestBatchedPropagator:
+    @pytest.mark.parametrize(
+        "model, waveform",
+        [
+            (Model.QUANTUM, Waveform.STATIC),
+            (Model.QUANTUM, Waveform.SQUARE_WAVE),
+            (Model.CLASSICAL, Waveform.STATIC),
+            (Model.CLASSICAL, Waveform.DELTA_KICKS),
+        ],
+    )
+    def test_stack_equals_per_point_calls(self, model, waveform):
+        g, t = _grid_points(waveform)
+        batched = fl.propagator(build_schedule(model, DimerParams(gamma=g, T=t, waveform=waveform)))
+        assert batched.gf.shape == g.shape + (2, 2)
+        assert np.all(batched.failed == "")
+        phases = set()
+        for idx in np.ndindex(g.shape):
+            p = DimerParams(gamma=float(g[idx]), T=float(t[idx]), waveform=waveform)
+            one = fl.propagator(build_schedule(model, p))
+            assert np.array_equal(batched.gf[idx], one.gf)
+            assert np.array_equal(batched.kappa.eigenvalues[idx], one.kappa.eigenvalues)
+            assert np.array_equal(batched.kappa.eigenvectors[idx], one.kappa.eigenvectors)
+            assert batched.phase[idx] is one.phase
+            phases.add(one.phase)
+        assert {PTPhase.SYMMETRIC, PTPhase.BROKEN} <= phases
+
+    def test_overflowed_points_are_masked(self):
+        g = np.array([0.5, 400.0])
+        sched = classical_dimer(DimerParams(gamma=g, T=3.0, waveform=Waveform.DELTA_KICKS))
+        fp = fl.propagator(sched)
+        assert fp.failed.tolist() == ["", "one-period propagator overflowed double range"]
+        assert not np.all(np.isfinite(fp.gf[1]))
+        one = classical_dimer(DimerParams(gamma=400.0, T=3.0, waveform=Waveform.DELTA_KICKS))
+        with pytest.raises(OverflowError):
+            fl.propagator(one)
+
+    def test_eig_failures_are_recorded_per_point(self):
+        g, t = _grid_points(Waveform.SQUARE_WAVE)
+        sched = build_schedule(Model.QUANTUM, DimerParams(gamma=g, T=t, waveform=Waveform.SQUARE_WAVE))
+        fp = fl.propagator(sched, tol_eig=3e-16)
+        failed = fp.failed != ""
+        assert failed.any() and not failed.all()
+        for idx in np.ndindex(g.shape):
+            p = DimerParams(gamma=float(g[idx]), T=float(t[idx]), waveform=Waveform.SQUARE_WAVE)
+            if failed[idx]:
+                with pytest.raises(NumericalError) as exc:
+                    fl.propagator(build_schedule(Model.QUANTUM, p), tol_eig=3e-16)
+                assert fp.failed[idx] == str(exc.value)
+                assert np.array_equal(fp.kappa.eigenvalues[idx], [1, 1])
+            else:
+                one = fl.propagator(build_schedule(Model.QUANTUM, p), tol_eig=3e-16)
+                assert np.array_equal(fp.kappa.eigenvectors[idx], one.kappa.eigenvectors)
+                assert fp.phase[idx] is one.phase
+
+    def test_rejects_mismatched_batch_axes(self):
+        with pytest.raises(ValueError):
+            fl.Schedule(dim=2, events=[fl.Segment([1.0, 2.0], SIGMA_X), fl.Segment([1.0, 2.0, 3.0], SIGMA_Z)])
+
+    def test_trace_and_time_shift_need_one_drive(self):
+        sched = fl.Schedule(dim=2, events=[fl.Segment([1.0, 2.0], SIGMA_X)])
+        with pytest.raises(ValueError):
+            fl.evolve_trace(sched, PLUS_X, [ID2])
+        with pytest.raises(ValueError):
+            fl.time_shift(sched, 0.5)
 
 
 class TestSuperoperator:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from intertwine import linalg
+from intertwine.liouville import build_liouvillian
 from intertwine.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from intertwine.models import quantum_hamiltonian
 
@@ -94,6 +95,19 @@ class TestMatexp:
         with pytest.raises(OverflowError):
             linalg.matexp(2000.0 * np.eye(2, dtype=complex))
 
+    def test_stack_leaves_overflow_to_the_caller(self):
+        a = np.stack([np.eye(2, dtype=complex), 2000.0 * np.eye(2, dtype=complex)])
+        with np.errstate(over="ignore"):
+            e = linalg.matexp(a)
+        assert np.array_equal(e[0], linalg.matexp(a[0]))
+        assert np.isinf(e[1, 0, 0]) and e[1, 0, 1] == 0
+
+    def test_stack_equals_per_matrix_calls(self, rng):
+        a = random_complex(rng, 4, 3, 2, 2)
+        e = linalg.matexp(a)
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(e[idx], linalg.matexp(a[idx]))
+
 
 class TestEig:
     def test_diagonal(self):
@@ -134,6 +148,32 @@ class TestEig:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             linalg.eig(SIGMA_X, tol_eig=0.0)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_stack_equals_per_matrix_calls(self, rng, n):
+        a = random_complex(rng, 3, 4, n, n)
+        spec = linalg.eig(a)
+        for idx in np.ndindex(3, 4):
+            one = linalg.eig(a[idx])
+            assert np.array_equal(spec.eigenvalues[idx], one.eigenvalues)
+            assert np.array_equal(spec.eigenvectors[idx], one.eigenvectors)
+            assert np.array_equal(spec.residuals[idx], one.residuals)
+
+    def test_phase_factor_matches_per_column_convention(self):
+        # dimer Liouvillians have columns whose largest entries tie in modulus
+        for gamma in np.linspace(0.0, 2.5, 201):
+            lmat = build_liouvillian(quantum_hamiltonian(1.0, gamma))
+            spec = linalg.eig(lmat)
+            w, v = np.linalg.eig(lmat)
+            v = v[:, np.lexsort((w.imag, w.real))]
+            for k in range(4):
+                col = v[:, k] / np.linalg.norm(v[:, k])
+                piv = col[np.argmax(np.abs(col))]
+                assert np.array_equal(spec.eigenvectors[:, k], col * (np.conj(piv) / abs(piv)))
+
+    def test_stack_norms_equal_per_matrix_norms(self, rng):
+        a = random_complex(rng, 6, 3, 3)
+        assert [float(x) for x in linalg.hs_norm(a)] == [linalg.hs_norm(m) for m in a]
 
 
 class TestSVDNullRank:

@@ -234,6 +234,15 @@ class TestPhaseClassification:
         # degenerate but diagonalizable: not an EP
         assert lv.classify_pt_phase(2.0 * ID2) is lv.PTPhase.SYMMETRIC
 
+    def test_stack_equals_per_matrix_calls(self):
+        gammas = np.array([[0.5, 1.0, 1.5], [0.0, 0.999, 1.001]])
+        stack = quantum_hamiltonian(1.0, gammas)
+        phases = lv.classify_pt_phase(stack)
+        assert phases.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert phases[idx] is lv.classify_pt_phase(quantum_hamiltonian(1.0, gammas[idx]))
+        assert set(phases.ravel()) == set(lv.PTPhase)
+
 
 class TestVerifyPTSymmetry:
     def test_quantum_dimer(self):

@@ -24,6 +24,10 @@ class TestDimerParams:
             md.DimerParams(gamma=-0.1)
         with pytest.raises(ValueError):
             md.DimerParams(T=0.0)
+        with pytest.raises(ValueError):
+            md.DimerParams(gamma=np.array([0.5, -0.1]))
+        with pytest.raises(ValueError):
+            md.DimerParams(gamma=np.array([0.5, np.nan]))
 
 
 class TestBuilders:
@@ -183,6 +187,28 @@ class TestEPContour:
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError):
             md.ep_contour(md.Model.CLASSICAL, [1.0], gamma_bracket=(0.01, 0.02))
+
+    def test_batched_discriminant_equals_scalar_calls(self):
+        g = np.array([[0.0, 0.3, 0.9], [1.2, 1.6, 2.4]])
+        t = np.array([[0.5], [2.0]])
+        for model, wf in ((md.Model.QUANTUM, md.Waveform.SQUARE_WAVE),
+                          (md.Model.CLASSICAL, md.Waveform.DELTA_KICKS)):
+            got = md.numerical_discriminant(model, md.DimerParams(gamma=g, T=t, waveform=wf))
+            for i, k in np.ndindex(g.shape):
+                p = md.DimerParams(gamma=g[i, k], T=t[i, 0], waveform=wf)
+                assert got[i, k] == md.numerical_discriminant(model, p)
+
+    def test_contour_roots_skip_failed_and_unchanged_intervals(self):
+        gammas = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+        def disc(gj, jt):
+            return np.cos(gj * jt)
+
+        values = np.cos(gammas)
+        assert md.contour_roots(disc, gammas, values, 1.0, 1e-12) == pytest.approx(
+            [np.pi / 2, 3 * np.pi / 2], abs=1e-10)
+        values[5] = np.nan
+        assert md.contour_roots(disc, gammas, values, 1.0, 1e-12) == pytest.approx([np.pi / 2])
 
 
 class TestBasisRotation:
