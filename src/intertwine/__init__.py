@@ -2,9 +2,12 @@
 
 Static Hamiltonians: intertwining operators are the zero modes of the
 superoperator -i(H^T kron 1 - 1 kron H^dag); the remaining eigenvectors
-evolve as single exponentials.  Time-periodic Hamiltonians: the same
-roles are played by unit-multiplier eigenvectors of gf^T kron gf^dag,
-built from the one-period propagator gf.
+evolve as single exponentials.  Away from exceptional points all N^2 of
+them are the rank-1 products of left eigenvectors of H, found from one
+N x N eigendecomposition; the Kronecker matrix itself is the test oracle
+and the fallback at and near exceptional points.  Time-periodic
+Hamiltonians: the same roles are played by unit-multiplier eigenvectors
+of gf^T kron gf^dag, built from the one-period propagator gf.
 """
 
 from .linalg import (
@@ -31,6 +34,9 @@ from .liouville import (
     classify_pt_phase,
     conserved_operators,
     eigen_operators,
+    kronecker_eigen_operators,
+    liouvillian_norm,
+    pair_rates,
     predicted_rates,
     recursive_tower,
     verify_intertwining,

@@ -30,6 +30,7 @@ from .linalg import (
     NumericalError,
     as_matrix,
     eig,  # noqa: F401  (not called here; bench/tests/test_bench_harness.py reads cli.eig)
+    hs_norm,
     rank,
 )
 
@@ -177,6 +178,8 @@ def parse_psi0(text: str) -> np.ndarray:
     psi0 = np.array(entries, dtype=complex)
     if not np.all(np.isfinite(psi0)):
         raise ConfigError(f"psi0 {text!r} has a non-finite entry")
+    if np.linalg.norm(psi0) == 0.0:
+        raise ConfigError(f"psi0 {text!r} is the zero vector")
     return psi0
 
 
@@ -196,6 +199,18 @@ def parse_grid(text: str):
 
 # ---------------------------------------------------------------------------
 # config resolution
+
+
+def _check_options(args) -> None:
+    """Reject numerical options outside their domain, before anything is computed or written."""
+    for name in ("tol_eig", "tol_rank"):
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 < value < np.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {value!r}")
+    for name in ("steps_per_period", "periods"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 def _model_from_args(args) -> md.Model:
@@ -304,10 +319,10 @@ def _operator_records(ops: list[lv.EigenOperator], tol_rank: float) -> list[dict
 
 def run_static(args) -> int:
     h = resolve_static_hamiltonian(args)
-    out = _outdir(args)
     fmts = _formats(args)
+    out = _outdir(args)
     result = lv.eigen_operators(h, tol_eig=args.tol_eig, tol_rank=args.tol_rank)
-    phase = lv.classify_pt_phase(h, args.tol_eig)
+    phase = result.pt_phase
     if "json" in fmts:
         _write_json(
             out / "static_report.json",
@@ -322,8 +337,8 @@ def run_static(args) -> int:
             },
         )
     if "csv" in fmts:
-        computed = np.sort_complex(result.liouvillian_spectrum.eigenvalues)
-        predicted = np.sort_complex(lv.predicted_rates(h, args.tol_eig))
+        computed = np.sort_complex(result.computed_eigenvalues)
+        predicted = np.sort_complex(lv.pair_rates(result.hamiltonian_spectrum.eigenvalues, sort=True))
         _write_table(
             out / "liouvillian_spectrum.csv",
             "index,re_computed,im_computed,re_predicted,im_predicted",
@@ -363,8 +378,8 @@ def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, arg
 
 def run_floquet(args) -> int:
     sched = resolve_schedule(args, periodic=True)
-    out = _outdir(args)
     fmts = _formats(args)
+    out = _outdir(args)
     fp, ops = _floquet_operators(sched, args)
     if "json" in fmts:
         _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops, args))
@@ -388,11 +403,11 @@ def run_floquet(args) -> int:
 
 def run_trace(args) -> int:
     sched = resolve_schedule(args, periodic=True)
-    out = _outdir(args)
     fmts = _formats(args)
     psi0 = parse_psi0(args.psi0) if args.psi0 else _default_psi0(sched.dim)
     if psi0.size != sched.dim:
         raise ConfigError(f"psi0 has {psi0.size} entries, expected {sched.dim}")
+    out = _outdir(args)
     _, ops = _floquet_operators(sched, args)
     series = fl.evolve_trace(
         sched,
@@ -482,9 +497,11 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, to
 
     The measure is the kappa ratio max|kappa|/min|kappa| of a periodic
     drive and max|Im eps| of a static one.  A failed point has a nonempty
-    cause.  The discriminant needs no eigensolve, so a point that failed
-    only the eigensolver's contract keeps it; it is NaN where the product
-    or the kappa ratio is not finite, and the contour skips the intervals
+    cause; the kappa ratio fails where min|kappa| <= 100 eps ||gf||_F,
+    below which eig returns rounding noise for it.  The discriminant needs
+    no eigensolve, so a point that failed only the eigensolver's contract
+    or that rounding test keeps it; it is NaN where the product or the
+    kappa ratio is not finite, and the contour skips the intervals
     touching such a point.
     """
     shape = sched.batch_shape
@@ -501,8 +518,12 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, to
             fp = fl.propagator(sched, tol_eig)
             phase, failed = fp.phase, fp.failed
             moduli = np.abs(fp.kappa.eigenvalues)
-            measure = np.max(moduli, axis=-1) / np.maximum(np.min(moduli, axis=-1), 1e-300)
+            smallest = np.min(moduli, axis=-1)
+            measure = np.max(moduli, axis=-1) / np.maximum(smallest, 1e-300)
             failed[~np.isfinite(measure)] = "kappa ratio is not finite"
+            # eig resolves |kappa| only down to about eps * ||gf||
+            noise = smallest <= 100 * np.finfo(float).eps * hs_norm(fp.gf)
+            failed[(failed == "") & noise] = "kappa ratio below rounding"
             usable = np.isfinite(fp.gf).all(axis=(-2, -1)) & np.isfinite(measure)
             values = np.full(shape, np.nan)
             values[usable] = md.discriminant(fp.gf[usable])
@@ -518,8 +539,8 @@ def run_scan(args) -> int:
     gammas, jts = parse_grid(args.grid)
     # one batched schedule, axes (jt, gamma); building it validates every point
     sched = _dimer_schedule(args, model, waveform, gammas, jts[:, None])
-    out = _outdir(args)
     fmts = _formats(args)
+    out = _outdir(args)
 
     phase, measure, values, failed = _scan_grid(sched, waveform, gammas, args.tol_eig)
 
@@ -644,6 +665,7 @@ def main(argv=None) -> int:
     # looked up per call, so the cached parser holds no command function
     command = globals()[f"run_{args.command}"]
     try:
+        _check_options(args)
         return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

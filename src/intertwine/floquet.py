@@ -176,15 +176,23 @@ def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagat
 
 
 def build_floquet_superoperator(gf) -> np.ndarray:
-    """Matrix of eta -> gf^dag eta gf under vec, i.e. gf^T kron gf^dag."""
+    """Matrix of eta -> gf^dag eta gf under vec, i.e. gf^T kron gf^dag.
+
+    Raises OverflowError when an entry (a product of two entries of gf)
+    overflows double range.
+    """
     gf = as_matrix(gf)
     if gf.shape[0] != gf.shape[1]:
         raise ValueError("propagator must be square")
-    return np.kron(gf.T, gf.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gmat = np.kron(gf.T, gf.conj().T)
+    if not np.isfinite(gmat).all():
+        raise OverflowError("Floquet superoperator gf^T kron gf^dag overflowed double range")
+    return gmat
 
 
 def _sandwich(gf: np.ndarray):
-    """The superoperator's action eta -> gf^dag eta gf."""
+    """The superoperator's action eta -> gf^dag eta gf, on one operator or a stack."""
     gdag = gf.conj().T
     return lambda eta: gdag @ eta @ gf
 

@@ -5,9 +5,17 @@ The central object is the N^2 x N^2 matrix
 whose action on vec(eta) equals vec(-i(eta H - H^dag eta)).  Zero modes
 of L are conserved (intertwining) operators; the remaining eigenvectors
 are operators whose expectation values evolve as a single exponential.
-The eigen-operator core (``null_space_operators``, ``split_eigen_operators``)
-and the PT-phase test (``classify_phase``) here serve both this static path
-(L, target eigenvalue 0) and the Floquet path (gf^T kron gf^dag, target 1).
+
+Away from exceptional points L is never formed: with H = V diag(e) V^-1
+and l_a the left eigenvectors of H (the rows of V^-1, conjugated), its N^2
+eigenvectors are the rank-1 operators l_b l_a^dag with rates
+-i(e_a - conj(e_b)), so one N x N eigendecomposition gives them all.  The
+Kronecker matrix is kept as the test oracle and as the fallback at and
+near exceptional points, where V is (nearly) singular and those products
+do not span the operator space.  The eigen-operator core
+(``null_space_operators``, ``split_eigen_operators``) and the PT-phase
+test (``classify_phase``) serve both the Kronecker route (L, target
+eigenvalue 0) and the Floquet path (gf^T kron gf^dag, target 1).
 """
 
 from __future__ import annotations
@@ -62,43 +70,67 @@ class EigenOperator:
 
 @dataclass
 class LiouvillianResult:
-    liouvillian: np.ndarray
-    liouvillian_spectrum: Spectrum
+    """The N^2 eigen-operators of L for one H, and the eigendecomposition of H behind them.
+
+    ``computed_eigenvalues`` are N^2 eigenvalues of L found apart from the
+    reported rates: on the ``"rank-1"`` path the Rayleigh quotient
+    <eta, L eta>/<eta, eta> of each operator (conserved first), on the
+    ``"kronecker"`` path the eigenvalues of the Kronecker matrix.
+    ``pt_phase`` is classified from ``hamiltonian_spectrum``.
+    """
+
+    computed_eigenvalues: np.ndarray
     conserved: list[EigenOperator]
     transient: list[EigenOperator]
     hamiltonian_spectrum: Spectrum
+    pt_phase: PTPhase
+    path: str
 
 
-def _fix_sign_hermitian(op: np.ndarray) -> np.ndarray:
-    # Hermitian matrices form a real vector space; fix the overall sign
-    # by the largest-magnitude real coefficient of that parametrization.
-    r = np.concatenate([op.real.reshape(-1), op.imag.reshape(-1)])
-    i = int(np.argmax(np.abs(r)))
-    return -op if r[i] < 0 else op
+def canonicalize_operators(ops) -> np.ndarray:
+    """Normalize each operator of a stack (k, N, N) and fix its free global phase.
+
+    An operator that is Hermitian up to a phase (always the case for
+    conjugate-symmetric eigenspaces) becomes exactly Hermitian, its sign
+    fixed by the largest-magnitude real coefficient of the Hermitian
+    parametrization; any other has its largest-magnitude entry (first in
+    column-major order) made real and positive.  Each operator comes out
+    with the bits that canonicalizing it on its own gives.
+    """
+    return _canonicalize(ops)[0]
+
+
+def _canonicalize(ops) -> tuple[np.ndarray, np.ndarray]:
+    """``canonicalize_operators``, and which operators were made Hermitian."""
+    ops = as_matrix(ops, batched=True)
+    # np.linalg.norm sums one matrix in memory order: sum column-stacked
+    # operators (eigenvectors of a superoperator) by columns, as it does
+    nrm = hs_norm(ops.swapaxes(-1, -2) if ops.strides[-2] < ops.strides[-1] else ops)
+    if np.any(nrm == 0.0):
+        raise ValueError("cannot canonicalize the zero operator")
+    ops = ops / nrm[:, None, None]  # a fresh array, canonicalized in place below
+    # <op, op^dag> in the HS inner product, one BLAS dot per operator
+    c = np.array([np.vdot(op, op.conj().T) for op in ops])
+    herm = np.abs(np.hypot(c.real, c.imag) - 1.0) <= 1e-8
+    if np.any(herm):
+        h = ops[herm] * np.exp(0.5j * np.angle(c[herm]))[:, None, None]
+        h = 0.5 * (h + h.conj().swapaxes(-1, -2))
+        h /= hs_norm(h)[:, None, None]
+        # Hermitian matrices form a real vector space; fix the overall sign
+        r = np.concatenate([h.real.reshape(len(h), -1), h.imag.reshape(len(h), -1)], axis=1)
+        piv = r[np.arange(len(r)), np.argmax(np.abs(r), axis=1)]
+        ops[herm] = np.where((piv < 0)[:, None, None], -h, h)
+    if not np.all(herm):
+        g = ops[~herm]
+        v = g.swapaxes(-1, -2).reshape(len(g), -1)  # column-major entries
+        piv = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+        ops[~herm] = g * (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None, None]
+    return ops, herm
 
 
 def canonicalize_operator(op: np.ndarray) -> np.ndarray:
-    """Normalize to unit Frobenius norm and fix the free global phase.
-
-    If the operator is Hermitian up to a phase (always the case for
-    conjugate-symmetric eigenspaces), the returned representative is
-    exactly Hermitian with a fixed sign; otherwise the largest-magnitude
-    entry is made real and positive.
-    """
-    op = as_matrix(op)
-    nrm = hs_norm(op)
-    if nrm == 0.0:
-        raise ValueError("cannot canonicalize the zero operator")
-    op = op / nrm
-    c = np.vdot(op, op.conj().T)  # <op, op^dag> in the HS inner product
-    if abs(abs(c) - 1.0) <= 1e-8:
-        op = op * np.exp(0.5j * np.angle(c))
-        op = 0.5 * (op + op.conj().T)
-        op = op / hs_norm(op)
-        return _fix_sign_hermitian(op)
-    v = op.reshape(-1, order="F")
-    i = int(np.argmax(np.abs(v)))
-    return op * (np.conj(v[i]) / abs(v[i]))
+    """``canonicalize_operators`` for one N x N operator."""
+    return canonicalize_operators(as_matrix(op)[None])[0]
 
 
 def build_liouvillian(h) -> np.ndarray:
@@ -110,19 +142,33 @@ def build_liouvillian(h) -> np.ndarray:
     return -1j * (np.kron(h.T, ident) - np.kron(ident, h.conj().T))
 
 
-def apply_liouvillian(h, eta) -> np.ndarray:
-    """Direct action -i(eta H - H^dag eta), without the Kronecker matrix."""
+def liouvillian_norm(h) -> float:
+    """Frobenius norm of L in closed form, sqrt(2N ||H||_F^2 - 2 Re((tr H)^2)), without forming L."""
     h = as_matrix(h)
-    eta = as_matrix(eta)
+    return float(np.sqrt(max(2 * h.shape[0] * hs_norm(h) ** 2 - 2 * (np.trace(h) ** 2).real, 0.0)))
+
+
+def apply_liouvillian(h, eta) -> np.ndarray:
+    """Direct action -i(eta H - H^dag eta), without the Kronecker matrix; ``eta`` may be a stack."""
+    h = as_matrix(h)
+    eta = as_matrix(eta, batched=True)
     return -1j * (eta @ h - h.conj().T @ eta)
+
+
+def pair_rates(eps, sort: bool = False) -> np.ndarray:
+    """All N^2 rates -i(e_a - conj(e_b)) from the eigenvalues ``eps`` of H.
+
+    Rate (a, b) sits at index a*N + b, or with ``sort`` the rates are
+    sorted by (real, imag).
+    """
+    eps = np.asarray(eps, dtype=complex)
+    rates = (-1j * (eps[:, None] - np.conj(eps)[None, :])).reshape(-1)
+    return rates[np.lexsort((rates.imag, rates.real))] if sort else rates
 
 
 def predicted_rates(h, tol_eig: float = DEFAULT_TOL_EIG) -> np.ndarray:
     """All N^2 rates -i(eps_p - eps_q*), sorted by (real, imag)."""
-    eps = eig(h, tol_eig).eigenvalues
-    rates = (-1j * (eps[:, None] - np.conj(eps)[None, :])).reshape(-1)
-    order = np.lexsort((rates.imag, rates.real))
-    return rates[order]
+    return pair_rates(eig(h, tol_eig).eigenvalues, sort=True)
 
 
 def verify_intertwining(eta, h) -> float:
@@ -173,9 +219,47 @@ def hermitize_basis(vectors: np.ndarray, tol: float = DEFAULT_TOL_RANK) -> list[
     return basis
 
 
-def _eigen_operator(op: np.ndarray, lam: complex, action, hermitian: bool) -> EigenOperator:
-    residual = hs_norm(action(op) - lam * op)
-    return EigenOperator(op=op, rate=complex(lam), hermitian=hermitian, residual=residual)
+def _build_operators(ops: np.ndarray, lams: np.ndarray, action, hermitian=None):
+    """EigenOperators of the stack ``ops`` (canonicalized here) with eigenvalues ``lams``.
+
+    The residual of each is ||action(op) - lambda op||; ``hermitian``
+    None flags the operators that come out Hermitian.  Also returns each
+    operator's Rayleigh quotient <op, action(op)>/<op, op>.
+    """
+    if len(ops) == 0:
+        return [], np.zeros(0, dtype=complex)
+    ops, made_hermitian = _canonicalize(ops)
+    if hermitian is None:
+        hermitian = hs_norm(ops - ops.conj().swapaxes(-1, -2)) <= HERMITIAN_FLAG_TOL
+    else:
+        hermitian = np.full(len(ops), hermitian)
+    acted = action(ops)
+    quotients = np.einsum("kij,kij->k", ops.conj(), acted) / np.einsum("kij,kij->k", ops.conj(), ops)
+    acted -= lams[:, None, None] * ops
+    residuals = hs_norm(acted)
+    # an operator made Hermitian is row-major, whatever the layout of the
+    # stack; products with it (as in evolve_trace) depend on that in the last bit
+    found = [
+        EigenOperator(
+            op=np.ascontiguousarray(op) if made else op,
+            rate=complex(lam),
+            hermitian=bool(herm),
+            residual=float(res),
+        )
+        for op, made, lam, herm, res in zip(
+            ops, made_hermitian.tolist(), lams.tolist(), hermitian.tolist(), residuals.tolist()
+        )
+    ]
+    return found, quotients
+
+
+def _hermitian_operators(vectors, action, mu: complex, tol_rank: float):
+    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace spanned by the columns ``vectors``.
+
+    Returns the operators and their Rayleigh quotients.
+    """
+    basis = hermitize_basis(vectors, tol_rank)
+    return _build_operators(np.array(basis), np.full(len(basis), complex(mu)), action, True)
 
 
 def null_space_operators(smat, action, mu: complex, tol_rank: float) -> list[EigenOperator]:
@@ -183,13 +267,18 @@ def null_space_operators(smat, action, mu: complex, tol_rank: float) -> list[Eig
 
     Extraction goes through the SVD null space of S - mu 1 rather than
     the eigendecomposition, which stays robust at and near exceptional
-    points where S is defective.  ``action(op)`` applies S to an operator.
+    points where S is defective.  ``action(ops)`` applies S to a stack of
+    operators.
     """
     basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank)
-    return [
-        _eigen_operator(canonicalize_operator(b), mu, action, True)
-        for b in hermitize_basis(basis, tol_rank)
-    ]
+    return _hermitian_operators(basis, action, mu, tol_rank)[0]
+
+
+def _by_distance(lams: np.ndarray, mu: complex) -> np.ndarray:
+    """Indices that order ``lams`` by (|lambda - mu|, arg lambda, |lambda|), ties kept in order."""
+    vals = lams.tolist()
+    order = sorted(range(len(vals)), key=lambda i: (abs(vals[i] - mu), np.angle(vals[i]), abs(vals[i])))
+    return np.array(order, dtype=int)
 
 
 def split_eigen_operators(
@@ -202,22 +291,45 @@ def split_eigen_operators(
     sorted by (|lambda - mu|, arg lambda, |lambda|).
     """
     tol = TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
-    others = []
-    for lam, v in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
-        if abs(lam - mu) > tol:
-            op = canonicalize_operator(unvec(v))
-            herm = hs_norm(op - op.conj().T) <= HERMITIAN_FLAG_TOL
-            others.append(_eigen_operator(op, lam, action, herm))
-    others.sort(key=lambda e: (abs(e.rate - mu), np.angle(e.rate), abs(e.rate)))
+    lams = spectrum.eigenvalues
+    keep = np.flatnonzero([abs(lam - mu) > tol for lam in lams.tolist()])
+    keep = keep[_by_distance(lams[keep], mu)]
+    n = int(round(np.sqrt(lams.size)))
+    # each eigenvector is a column-stacked operator
+    ops = spectrum.eigenvectors.T[keep].reshape(-1, n, n).swapaxes(-1, -2)
+    others, _ = _build_operators(ops, lams[keep], action)
     return null_space_operators(smat, action, mu, tol_rank), others
 
 
 def conserved_operators(
     h, tol_rank: float = DEFAULT_TOL_RANK
 ) -> list[EigenOperator]:
-    """Hermitian orthonormal basis of the zero-rate eigenspace of L."""
+    """Hermitian orthonormal basis of the zero-rate eigenspace of L (see ``eigen_operators``)."""
+    return eigen_operators(h, tol_rank=tol_rank).conserved
+
+
+def _kronecker_route(h, spectrum: Spectrum, tol_eig: float, tol_rank: float) -> LiouvillianResult:
+    lmat = build_liouvillian(h)
+    lspec = eig(lmat, tol_eig)
+    conserved, transient = split_eigen_operators(
+        lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
+    )
+    phase = _hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
+    return LiouvillianResult(lspec.eigenvalues, conserved, transient, spectrum, phase, "kronecker")
+
+
+def kronecker_eigen_operators(
+    h,
+    tol_eig: float = DEFAULT_TOL_EIG,
+    tol_rank: float = DEFAULT_TOL_RANK,
+) -> LiouvillianResult:
+    """All N^2 eigen-pairs of L from the eigendecomposition of the N^2 x N^2 Kronecker matrix.
+
+    The O(N^6) reference route: the oracle that ``eigen_operators`` is
+    tested against, and its fallback at and near exceptional points.
+    """
     h = as_matrix(h)
-    return null_space_operators(build_liouvillian(h), partial(apply_liouvillian, h), 0.0, tol_rank)
+    return _kronecker_route(h, eig(h, tol_eig), tol_eig, tol_rank)
 
 
 def eigen_operators(
@@ -225,20 +337,43 @@ def eigen_operators(
     tol_eig: float = DEFAULT_TOL_EIG,
     tol_rank: float = DEFAULT_TOL_RANK,
 ) -> LiouvillianResult:
-    """All N^2 eigen-pairs of L, split into conserved and transient."""
+    """All N^2 eigen-pairs of L, split into conserved and transient, from one eig(H).
+
+    With H = V diag(e) V^-1 the operators are the rank-1 products
+    l_b l_a^dag of the left eigenvectors (l_a^dag the rows of V^-1), with
+    rates -i(e_a - conj(e_b)).  The pairs with |e_a - conj(e_b)| <=
+    TARGET_EIGENVALUE_REL_TOL * ||L||_F span the conserved operators,
+    which are Hermitized together; the others are the transient ones,
+    sorted by (|rate|, arg rate).  At and near an exceptional
+    point, where cond(V)^2 > 1/tol_rank, the result comes from
+    ``kronecker_eigen_operators`` instead; ``path`` records which.
+    """
     h = as_matrix(h)
-    lmat = build_liouvillian(h)
-    spectrum = eig(lmat, tol_eig)
-    conserved, transient = split_eigen_operators(
-        lmat, spectrum, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
-    )
-    return LiouvillianResult(
-        liouvillian=lmat,
-        liouvillian_spectrum=spectrum,
-        conserved=conserved,
-        transient=transient,
-        hamiltonian_spectrum=eig(h, tol_eig),
-    )
+    spectrum = eig(h, tol_eig)
+    v = spectrum.eigenvectors
+    if np.linalg.cond(v) > 1.0 / np.sqrt(tol_rank):  # cond(V)^2 > 1/tol_rank
+        return _kronecker_route(h, spectrum, tol_eig, tol_rank)
+    w = np.linalg.inv(v)  # row a: w_a H = e_a w_a
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    rates = pair_rates(spectrum.eigenvalues)
+    lnorm = liouvillian_norm(h)
+    zero = np.abs(rates) <= TARGET_EIGENVALUE_REL_TOL * max(lnorm, 1e-300)
+    a, b = np.divmod(np.arange(rates.size), h.shape[0])  # pair (a, b) at index a*N + b
+
+    def products(pairs):
+        """The unit operators l_b l_a^dag, entry (i, j) = conj(w[b, i]) w[a, j]."""
+        return w.conj()[b[pairs], :, None] * w[a[pairs], None, :]
+
+    action = partial(apply_liouvillian, h)
+    kept = products(zero)
+    vectors = kept.swapaxes(-1, -2).reshape(len(kept), -1).T  # column-stacked, as columns
+    conserved, q_conserved = _hermitian_operators(vectors, action, 0.0, tol_rank)
+    moving = np.flatnonzero(~zero)
+    moving = moving[_by_distance(rates[moving], 0.0)]
+    transient, q_transient = _build_operators(products(moving), rates[moving], action)
+    quotients = np.concatenate([q_conserved, q_transient])
+    phase = _hamiltonian_phase(h, spectrum.eigenvalues, v, tol_eig)
+    return LiouvillianResult(quotients, conserved, transient, spectrum, phase, "rank-1")
 
 
 def recursive_tower(eta1, h, count: int, scale: float | None = None) -> list[np.ndarray]:
@@ -297,6 +432,11 @@ def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
     if h.shape[-2] != h.shape[-1]:
         raise ValueError("Hamiltonian must be square")
     w, v = np.linalg.eig(h)
+    return _hamiltonian_phase(h, w, v, tol)
+
+
+def _hamiltonian_phase(h, w, v, tol: float):
+    """PT phase of H (or a stack) from its eigenvalues ``w`` and eigenvectors ``v``."""
     return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), hs_norm(h), tol)
 
 

@@ -14,6 +14,9 @@ from intertwine import models as md
 from intertwine.linalg import DEFAULT_TOL_EIG, NumericalError
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def run(args, capsys=None):
     code = cli.main(args)
     if capsys is not None:
@@ -162,6 +165,29 @@ class TestConfigErrors:
              "--out", str(tmp_path)]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--steps-per-period", "0"],
+            ["trace", "--periods", "0"],
+            ["trace", "--psi0", "0,0;0,0"],
+            *[[command, "--tol-eig", value]
+              for command in ("static", "floquet", "scan", "trace")
+              for value in ("0", "-1", "nan", "inf")],
+            *[[command, "--tol-rank", value]
+              for command in ("static", "floquet", "trace")
+              for value in ("-1", "0", "nan", "inf")],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_numerical_option_out_of_domain_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = argv[:1] + ["--model", "quantum-dimer"] + argv[1:] + ["--out", str(out)]
+        code, captured = run(argv, capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestStatic:
     def test_builtin_quantum(self, tmp_path, capsys):
@@ -217,6 +243,19 @@ class TestStatic:
         assert run(["static", "--input", str(path), "--out", str(tmp_path)]) == 1
 
 
+class TestStaticAtExceptionalPoint:
+    """At gamma = J the static route falls back to the Kronecker matrix, with the bytes it always wrote."""
+
+    @pytest.mark.parametrize("model", ["quantum-dimer", "classical-dimer"])
+    def test_pinned_bytes(self, tmp_path, capsys, model):
+        code, captured = run(["static", "--model", model, "--gamma", "1.0", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert captured.out == "static: N=2, phase=exceptional-point, 2 conserved / 3 transient\n"
+        pinned = DATA / "static_gamma1" / model
+        for name in ("static_report.json", "liouvillian_spectrum.csv"):
+            assert (tmp_path / name).read_bytes() == (pinned / name).read_bytes()
+
+
 class TestFloquet:
     def test_builtin_quantum_multipliers(self, tmp_path):
         assert run(
@@ -251,6 +290,21 @@ class TestFloquet:
         ra = load_json(out_a / "floquet_report.json")
         rb = load_json(out_b / "floquet_report.json")
         assert np.max(np.abs(as_matrix(ra["propagator"]) - as_matrix(rb["propagator"]))) < 1e-12
+
+    def test_overflowing_superoperator_exits_2(self, tmp_path, capsys):
+        # G_F has entries near 1e183, finite; gf^T kron gf^dag does not fit a double
+        rng = np.random.default_rng(0)
+        a = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 2
+        p = np.fliplr(np.eye(4))
+        h = a + p @ a.conj() @ p
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in h]}))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, captured = run(["floquet", "--input", str(path), "--JT", "400", "--out", str(out)], capsys)
+        assert code == 2
+        assert "numerical failure: Floquet superoperator" in captured.err
+        assert list(out.iterdir()) == []
 
     def test_recursive_check_present(self, tmp_path):
         assert run(
@@ -367,6 +421,20 @@ class TestScan:
         # every interval touches a failed point
         assert report["contour"] == []
         assert (tmp_path / "contour.csv").read_text() == "gamma_over_j,jt,analytic_gamma_over_j\n"
+
+    def test_kappa_ratio_below_rounding_is_a_failure(self, tmp_path, capsys):
+        # det G_F = 1, so the true ratio at gamma/J = 200, JT = 1 is max|kappa|^2 ~ 3e164,
+        # far beyond what eig resolves of min|kappa|
+        code, captured = run(
+            ["scan", "--model", "quantum-dimer", "--grid", "0:400:3,1:3:2", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "scan_grid.csv").read_text().splitlines()[1:]]
+        failed = [(float(r[0]), float(r[1])) for r in rows if r[2:] == ["error", "nan"]]
+        assert failed == [(200.0, 1.0), (400.0, 1.0), (200.0, 3.0), (400.0, 3.0)]
+        causes = [f["error"] for f in load_json(tmp_path / "scan_report.json")["failures"]]
+        assert causes[:2] == ["kappa ratio below rounding"] * 2
 
     @pytest.mark.parametrize(
         "model, waveform, grid, J",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from intertwine import liouville as lv
-from intertwine.linalg import eig, hs_norm, matexp
+from intertwine.linalg import DEFAULT_TOL_EIG, DEFAULT_TOL_RANK, eig, hs_norm, matexp
 from intertwine.models import (
     ID2,
     SIGMA_X,
@@ -173,6 +175,121 @@ class TestEigenOperators:
         for gamma in (0.3, 0.5, 1.5):
             res = lv.eigen_operators(quantum_hamiltonian(1.0, gamma))
             assert all(rank(t.op) == 1 for t in res.transient)
+
+
+def same_operators(got, want):
+    """Bit-for-bit equality of two lists of EigenOperators."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.op.tobytes() == b.op.tobytes()
+        assert (a.rate, a.hermitian, a.residual) == (b.rate, b.hermitian, b.residual)
+
+
+class TestRankOnePath:
+    """The rank-1 route of eigen_operators against the Kronecker oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        g=st.floats(0.0, 1.5),
+    )
+    def test_matches_kronecker_oracle(self, n, seed, g):
+        h0 = random_pt_symmetric(np.random.default_rng(seed), n)
+        # Hermitian and anti-Hermitian parts of a PT-symmetric H are each
+        # PT-symmetric, so g tunes from the symmetric into the broken phase
+        h = 0.5 * (h0 + h0.conj().T) + 0.5 * g * (h0 - h0.conj().T)
+        scale = hs_norm(h)
+        eps, v = np.linalg.eig(h)
+        gaps = np.abs(eps[:, None] - eps[None, :])[~np.eye(n, dtype=bool)]
+        assume(gaps.min() > 1e-2 * scale and np.linalg.cond(v) < 1e3)  # away from EPs
+        assume(np.all((np.abs(eps.imag) < 1e-10 * scale) | (np.abs(eps.imag) > 1e-2 * scale)))
+
+        fast = lv.eigen_operators(h)
+        oracle = lv.kronecker_eigen_operators(h)
+        assert (fast.path, oracle.path) == ("rank-1", "kronecker")
+        lnorm = hs_norm(lv.build_liouvillian(h))
+        ops = fast.conserved + fast.transient
+        assert len(ops) == n * n
+        assert len(fast.conserved) == len(oracle.conserved) >= n
+        rates = [e.rate for e in ops]
+        assert match_spectra(rates, [e.rate for e in oracle.conserved + oracle.transient]) <= 1e-10 * lnorm
+        assert match_spectra(fast.computed_eigenvalues, oracle.computed_eigenvalues) <= 1e-10 * lnorm
+        assert subspace_distance([e.op for e in fast.conserved], [e.op for e in oracle.conserved]) <= 1e-8
+        for e in ops:
+            direct = hs_norm(lv.apply_liouvillian(h, e.op) - e.rate * e.op)
+            assert e.residual == pytest.approx(direct, rel=1e-6, abs=1e-30)
+            assert e.residual <= DEFAULT_TOL_EIG * lnorm
+            assert hs_norm(e.op) == pytest.approx(1.0, abs=1e-12)
+        assert all(e.hermitian and e.rate == 0 for e in fast.conserved)
+        s = np.linalg.svd(np.column_stack([vec(e.op) for e in ops]), compute_uv=False)
+        assert s[-1] > 1e-9 * s[0]
+        assert fast.pt_phase is lv.classify_pt_phase(h)
+
+    @pytest.mark.parametrize("hamiltonian", [quantum_hamiltonian, classical_hamiltonian])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_exceptional_point_sweep(self, hamiltonian, sign, k):
+        h = hamiltonian(1.0, 1.0 + sign * 10.0**-k)
+        res = lv.eigen_operators(h)
+        near_ep = np.linalg.cond(eig(h).eigenvectors) ** 2 > 1.0 / DEFAULT_TOL_RANK
+        assert res.path == ("kronecker" if near_ep else "rank-1")
+        if res.path == "rank-1":
+            assert len(res.conserved) + len(res.transient) == 4
+            return
+        oracle = lv.kronecker_eigen_operators(h)
+        same_operators(res.conserved, oracle.conserved)
+        same_operators(res.transient, oracle.transient)
+        assert res.computed_eigenvalues.tobytes() == oracle.computed_eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("hamiltonian", [quantum_hamiltonian, classical_hamiltonian])
+    def test_exceptional_point_takes_the_kronecker_route(self, hamiltonian):
+        res = lv.eigen_operators(hamiltonian(1.0, 1.0))
+        assert res.path == "kronecker"
+        assert res.pt_phase is lv.PTPhase.EXCEPTIONAL_POINT
+
+    def test_no_superoperator_eigensolve(self, monkeypatch):
+        shapes = []
+
+        def spy(a, *args):
+            shapes.append(np.shape(a))
+            return eig(a, *args)
+
+        monkeypatch.setattr(lv, "eig", spy)
+        h = random_pt_symmetric(np.random.default_rng(3), 16)
+        assert lv.eigen_operators(h).path == "rank-1"
+        assert shapes == [(16, 16)]
+
+    def test_liouvillian_norm_closed_form(self, rng):
+        for n in (1, 2, 3, 5, 8):
+            h = random_complex(rng, n, n)
+            want = hs_norm(lv.build_liouvillian(h))
+            assert lv.liouvillian_norm(h) == pytest.approx(want, rel=1e-14)
+
+    def test_stacked_canonicalization_equals_one_operator_at_a_time(self, rng):
+        ops = random_complex(rng, 40, 3, 3)
+        ops[:20] = (ops[:20] + ops[:20].conj().swapaxes(-1, -2)) * np.exp(1j * rng.uniform(0, 6, 20))[:, None, None]
+        # row-major operators, and column-major ones (eigenvectors of a superoperator, unvec'd)
+        for stack in (ops, ops.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+            got = lv.canonicalize_operators(stack)
+            for k in range(40):
+                assert got[k].tobytes() == canonicalize_one(stack[k]).tobytes()
+            assert np.all(hs_norm(got[:20] - got[:20].conj().swapaxes(-1, -2)) == 0)
+
+
+def canonicalize_one(op):
+    """Unit norm, global phase fixed, one operator at a time with plain numpy."""
+    op = op / np.linalg.norm(op)
+    c = np.vdot(op, op.conj().T)
+    if abs(abs(c) - 1.0) <= 1e-8:
+        op = op * np.exp(0.5j * np.angle(c))
+        op = 0.5 * (op + op.conj().T)
+        op = op / np.linalg.norm(op)
+        r = np.concatenate([op.real.reshape(-1), op.imag.reshape(-1)])
+        return -op if r[np.argmax(np.abs(r))] < 0 else op
+    v = op.reshape(-1, order="F")
+    i = int(np.argmax(np.abs(v)))
+    return op * (np.conj(v[i]) / abs(v[i]))
 
 
 class TestVerifyIntertwining:
