@@ -5,9 +5,13 @@ superoperator -i(H^T kron 1 - 1 kron H^dag); the remaining eigenvectors
 evolve as single exponentials.  Away from exceptional points all N^2 of
 them are the rank-1 products of left eigenvectors of H, found from one
 N x N eigendecomposition; the Kronecker matrix itself is the test oracle
-and the fallback at and near exceptional points.  Time-periodic
-Hamiltonians: the same roles are played by unit-multiplier eigenvectors
-of gf^T kron gf^dag, built from the one-period propagator gf.
+and the fallback at and near exceptional points.  The conserved ones
+are ``eigen_operators(h).conserved``.  Time-periodic Hamiltonians: the
+same roles are played by unit-multiplier eigenvectors of
+gf^T kron gf^dag, built from the one-period propagator gf; the
+conserved ones lead ``floquet_eigen_operators(gf)``, with multiplier
+exactly 1.  ``vectorize`` holds the column-stacking map under which
+these superoperators are matrices.
 """
 
 from .linalg import (
@@ -15,24 +19,19 @@ from .linalg import (
     DEFAULT_TOL_RANK,
     NumericalError,
     Spectrum,
-    adjoint,
     eig,
-    hs_inner,
     hs_norm,
     matexp,
-    matmul,
     null_space,
     rank,
-    transpose,
 )
-from .vectorize import kron, sandwich_matrix, unvec, vec
+from .vectorize import sandwich_matrix, unvec, vec
 from .liouville import (
     EigenOperator,
     LiouvillianResult,
     PTPhase,
     build_liouvillian,
     classify_pt_phase,
-    conserved_operators,
     eigen_operators,
     kronecker_eigen_operators,
     liouvillian_norm,
@@ -53,7 +52,6 @@ from .floquet import (
     floquet_eigen_operators,
     propagator,
     recursive_floquet,
-    stroboscopic_conserved,
     time_shift,
 )
 from .models import (

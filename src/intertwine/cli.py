@@ -338,7 +338,7 @@ def run_static(args) -> int:
         )
     if "csv" in fmts:
         computed = np.sort_complex(result.computed_eigenvalues)
-        predicted = np.sort_complex(lv.pair_rates(result.hamiltonian_spectrum.eigenvalues, sort=True))
+        predicted = np.sort_complex(lv.pair_rates(result.hamiltonian_spectrum.eigenvalues))
         _write_table(
             out / "liouvillian_spectrum.csv",
             "index,re_computed,im_computed,re_predicted,im_predicted",
@@ -410,15 +410,10 @@ def run_trace(args) -> int:
     out = _outdir(args)
     _, ops = _floquet_operators(sched, args)
     series = fl.evolve_trace(
-        sched,
-        psi0,
-        [e.op for e in ops],
-        steps_per_period=args.steps_per_period,
-        periods=args.periods,
-        labels=[f"eta{i + 1}" for i in range(len(ops))],
-        rates=[e.rate for e in ops],
+        sched, psi0, [e.op for e in ops], steps_per_period=args.steps_per_period, periods=args.periods
     )
-    rates = np.array(series.rates, dtype=complex)
+    labels = [f"eta{i + 1}" for i in range(len(ops))]
+    rates = np.array([e.rate for e in ops], dtype=complex)
     # lambda^t on every sample; the writers refuse it where it overflows
     with np.errstate(over="ignore"):
         ref = np.exp(np.log(rates)[:, None] * series.times)
@@ -432,7 +427,7 @@ def run_trace(args) -> int:
             "re_lambda_pow_t,im_lambda_pow_t,normalized",
             [
                 np.tile(series.times, n_ops),
-                np.repeat(series.labels, n_times),
+                np.repeat(labels, n_times),
                 series.values.real.ravel(),
                 series.values.imag.ravel(),
                 np.tile(strobe, n_ops),
@@ -447,7 +442,7 @@ def run_trace(args) -> int:
             {
                 "mode": "trace",
                 "psi0": psi0,
-                "labels": series.labels,
+                "labels": labels,
                 "multipliers": rates,
                 "normalized": series.normalized,
                 "periods": args.periods,
@@ -455,8 +450,8 @@ def run_trace(args) -> int:
             },
         )
     if "gnuplot" in fmts:
-        _write_gnuplot(out, series, ref)
-    print(f"trace: {len(series.labels)} operators, "
+        _write_gnuplot(out, series, labels, ref)
+    print(f"trace: {len(labels)} operators, "
           f"{series.times.size} samples over {args.periods} periods")
     return 0
 
@@ -465,9 +460,9 @@ def _default_psi0(dim: int) -> np.ndarray:
     return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
-def _write_gnuplot(out: Path, series: fl.TraceSeries, ref: np.ndarray) -> None:
+def _write_gnuplot(out: Path, series: fl.TraceSeries, labels: list[str], ref: np.ndarray) -> None:
     # one datafile per operator keeps the plot script trivial
-    for a, label in enumerate(series.labels):
+    for a, label in enumerate(labels):
         v = series.values[a]
         _write_table(
             out / f"trace_{label}.dat",
@@ -475,14 +470,14 @@ def _write_gnuplot(out: Path, series: fl.TraceSeries, ref: np.ndarray) -> None:
             [series.times, v.real, v.imag, ref[a].real],
             sep=" ",
         )
-    n = len(series.labels)
+    n = len(labels)
     script = [
         "set terminal pngcairo size 1200,900",
         "set output 'trace.png'",
         f"set multiplot layout {(n + 1) // 2},2",
         "set xlabel 't/T'",
     ]
-    for label in series.labels:
+    for label in labels:
         script.append(
             f"plot 'trace_{label}.dat' using 1:2 with lines title '{label}', "
             f"'trace_{label}.dat' using 1:4 with dots title 'Re lambda^t'"

@@ -28,7 +28,6 @@ from .liouville import (
     EigenOperator,
     PTPhase,
     classify_phase,
-    null_space_operators,
     split_eigen_operators,
 )
 
@@ -197,12 +196,6 @@ def _sandwich(gf: np.ndarray):
     return lambda eta: gdag @ eta @ gf
 
 
-def stroboscopic_conserved(gf, tol: float = DEFAULT_TOL_RANK) -> list[EigenOperator]:
-    """Hermitian basis of the unit-multiplier eigenspace of the superoperator."""
-    gf = as_matrix(gf)
-    return null_space_operators(build_floquet_superoperator(gf), _sandwich(gf), 1.0, tol)
-
-
 def floquet_eigen_operators(
     gf,
     tol_eig: float = DEFAULT_TOL_EIG,
@@ -320,8 +313,6 @@ class TraceSeries:
     times: np.ndarray
     values: np.ndarray
     stroboscopic_indices: np.ndarray
-    labels: list[str]
-    rates: list[complex]
     normalized: list[bool]
 
 
@@ -331,8 +322,6 @@ def evolve_trace(
     etas,
     steps_per_period: int = 200,
     periods: int = 10,
-    labels: list[str] | None = None,
-    rates: list[complex] | None = None,
 ) -> TraceSeries:
     """Dense-time evolution of normalized expectation values.
 
@@ -352,8 +341,6 @@ def evolve_trace(
     if steps_per_period < 1 or periods < 1:
         raise ValueError("steps_per_period and periods must be >= 1")
     etas = [as_matrix(e) for e in etas]
-    labels = labels if labels is not None else [f"eta{k + 1}" for k in range(len(etas))]
-    rates = rates if rates is not None else [complex("nan")] * len(etas)
 
     t_samples = np.arange(steps_per_period) * (s.period / steps_per_period)
     partials = np.empty((steps_per_period, s.dim, s.dim), dtype=complex)
@@ -400,7 +387,5 @@ def evolve_trace(
         times=times,
         values=values,
         stroboscopic_indices=np.arange(periods + 1) * steps_per_period,
-        labels=list(labels),
-        rates=[complex(r) for r in rates],
         normalized=norm_flags,
     )

@@ -42,32 +42,6 @@ def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dag b)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def _vector_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each vector along the last axis of complex ``x``.
 
@@ -94,10 +68,11 @@ def matexp(a) -> np.ndarray:
     defective inputs (exceptional points).  ``a`` is one matrix or a
     stack (..., n, n), exponentiated matrix by matrix.  One matrix whose
     exponential is not finite raises OverflowError; in a stack such a
-    slice is left as computed, for the caller to mask.
+    slice is left as computed, for the caller to mask.  Neither warns.
     """
     a = _require_square(as_matrix(a, batched=True))
-    e = scipy.linalg.expm(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(a)
     if a.ndim == 2 and not np.isfinite(e).all():
         raise OverflowError("matrix exponential overflowed double range")
     return e
@@ -123,6 +98,12 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     if tol_eig <= 0:
         raise ValueError("tol_eig must be positive")
     a = _require_square(as_matrix(a, batched=True))
+    # the contract is checked on A / 2^p, 2^p about max|A_ij| where that
+    # is >= 1: dividing by a power of two is exact, so every decision and
+    # residual is as on A, but ||A||_F cannot overflow
+    p = np.maximum(np.frexp(np.abs(a).max(axis=(-2, -1)))[1], 0)[..., None]
+    f = np.ldexp(1.0, -p)[..., None]
+    scale = np.asarray(hs_norm(a * f))[..., None]
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -142,9 +123,11 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     size = np.hypot(piv.real, piv.imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(size == 0.0, v, v * (np.conj(piv) / size))
-    residuals = np.linalg.norm(a @ v - v * w[..., None, :], axis=-2)
-    scale = np.asarray(hs_norm(a))[..., None]
-    bad = np.argwhere(residuals > tol_eig * np.maximum(scale, 1e-300))
+    r = a @ v - v * w[..., None, :]
+    r *= f
+    scaled = np.linalg.norm(r, axis=-2)
+    bad = np.argwhere(scaled > tol_eig * np.maximum(scale, 1e-300))
+    residuals = np.ldexp(scaled, p)
     if bad.size:
         raise NumericalError(
             "eigenpairs failed the residual contract: "

@@ -13,9 +13,12 @@ eigenvectors are the rank-1 operators l_b l_a^dag with rates
 Kronecker matrix is kept as the test oracle and as the fallback at and
 near exceptional points, where V is (nearly) singular and those products
 do not span the operator space.  The eigen-operator core
-(``null_space_operators``, ``split_eigen_operators``) and the PT-phase
-test (``classify_phase``) serve both the Kronecker route (L, target
+(``split_eigen_operators``: conserved operators from the SVD null space,
+the others from the eigenvectors) and the PT-phase test
+(``classify_phase``) serve both the Kronecker route (L, target
 eigenvalue 0) and the Floquet path (gf^T kron gf^dag, target 1).
+Operators travel as stacks (k, N, N) throughout; a superoperator's
+column-stacked eigenvectors and null-space columns are unstacked once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .linalg import (
     hs_norm,
     null_space,
 )
-from .vectorize import unvec, vec
 
 # a superoperator eigenvalue lambda with |lambda - mu| <= this times the
 # path's scale belongs to the conserved (target mu) eigenspace
@@ -128,11 +130,6 @@ def _canonicalize(ops) -> tuple[np.ndarray, np.ndarray]:
     return ops, herm
 
 
-def canonicalize_operator(op: np.ndarray) -> np.ndarray:
-    """``canonicalize_operators`` for one N x N operator."""
-    return canonicalize_operators(as_matrix(op)[None])[0]
-
-
 def build_liouvillian(h) -> np.ndarray:
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
@@ -155,20 +152,16 @@ def apply_liouvillian(h, eta) -> np.ndarray:
     return -1j * (eta @ h - h.conj().T @ eta)
 
 
-def pair_rates(eps, sort: bool = False) -> np.ndarray:
-    """All N^2 rates -i(e_a - conj(e_b)) from the eigenvalues ``eps`` of H.
-
-    Rate (a, b) sits at index a*N + b, or with ``sort`` the rates are
-    sorted by (real, imag).
-    """
+def pair_rates(eps) -> np.ndarray:
+    """All N^2 rates -i(e_a - conj(e_b)) from the eigenvalues ``eps`` of H; rate (a, b) at index a*N + b."""
     eps = np.asarray(eps, dtype=complex)
-    rates = (-1j * (eps[:, None] - np.conj(eps)[None, :])).reshape(-1)
-    return rates[np.lexsort((rates.imag, rates.real))] if sort else rates
+    return (-1j * (eps[:, None] - np.conj(eps)[None, :])).reshape(-1)
 
 
 def predicted_rates(h, tol_eig: float = DEFAULT_TOL_EIG) -> np.ndarray:
     """All N^2 rates -i(eps_p - eps_q*), sorted by (real, imag)."""
-    return pair_rates(eig(h, tol_eig).eigenvalues, sort=True)
+    rates = pair_rates(eig(h, tol_eig).eigenvalues)
+    return rates[np.lexsort((rates.imag, rates.real))]
 
 
 def verify_intertwining(eta, h) -> float:
@@ -180,23 +173,22 @@ def verify_intertwining(eta, h) -> float:
     return hs_norm(eta @ h - h.conj().T @ eta)
 
 
-def hermitize_basis(vectors: np.ndarray, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
-    """Replace a basis of a dagger-closed operator subspace by a Hermitian one.
+def hermitize_basis(ops, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
+    """Replace a basis (a stack (k, N, N)) of a dagger-closed operator subspace by a Hermitian one.
 
     From each basis matrix M the candidates (M + M^dag)/2 and
     -i(M - M^dag)/2 are generated and orthonormalized (modified
     Gram-Schmidt in the HS inner product); near-zero leftovers are
-    discarded.  Raises if the Hermitian vectors fail to span the
+    discarded.  Raises if the Hermitian operators fail to span the
     original subspace, which can only happen when the subspace is not
     closed under the adjoint.
     """
-    vectors = np.asarray(vectors, dtype=complex)
-    k = vectors.shape[1]
+    ops = np.asarray(ops, dtype=complex)
+    k = len(ops)
     if k == 0:
         return []
     basis: list[np.ndarray] = []
-    for j in range(k):
-        m = unvec(vectors[:, j])
+    for m in ops:
         for cand in (0.5 * (m + m.conj().T), -0.5j * (m - m.conj().T)):
             w = cand.copy()
             for b in basis:
@@ -212,9 +204,9 @@ def hermitize_basis(vectors: np.ndarray, tol: float = DEFAULT_TOL_RANK) -> list[
             f"{k}-dimensional subspace; subspace is not dagger-closed"
         )
     # confirm the Hermitian basis still spans the original space
-    bmat = np.column_stack([vec(b) for b in basis])
-    proj = bmat @ (bmat.conj().T @ vectors)
-    if np.linalg.norm(proj - vectors) > 1e-8 * max(1.0, np.linalg.norm(vectors)):
+    rows, brows = ops.reshape(k, -1), np.array(basis).reshape(k, -1)
+    proj = rows @ brows.conj().T @ brows
+    if np.linalg.norm(proj - rows) > 1e-8 * max(1.0, np.linalg.norm(rows)):
         raise ValueError("Hermitized basis does not span the original subspace")
     return basis
 
@@ -253,25 +245,19 @@ def _build_operators(ops: np.ndarray, lams: np.ndarray, action, hermitian=None):
     return found, quotients
 
 
-def _hermitian_operators(vectors, action, mu: complex, tol_rank: float):
-    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace spanned by the columns ``vectors``.
+def _hermitian_operators(ops, action, mu: complex, tol_rank: float):
+    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace spanned by the stack ``ops``.
 
     Returns the operators and their Rayleigh quotients.
     """
-    basis = hermitize_basis(vectors, tol_rank)
+    basis = hermitize_basis(ops, tol_rank)
     return _build_operators(np.array(basis), np.full(len(basis), complex(mu)), action, True)
 
 
-def null_space_operators(smat, action, mu: complex, tol_rank: float) -> list[EigenOperator]:
-    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace of S.
-
-    Extraction goes through the SVD null space of S - mu 1 rather than
-    the eigendecomposition, which stays robust at and near exceptional
-    points where S is defective.  ``action(ops)`` applies S to a stack of
-    operators.
-    """
-    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank)
-    return _hermitian_operators(basis, action, mu, tol_rank)[0]
+def _unvec_rows(rows: np.ndarray) -> np.ndarray:
+    """The stack (k, N, N) of the operators column-stacked in the rows of ``rows`` (k, N^2)."""
+    n = int(round(np.sqrt(rows.shape[-1])))
+    return rows.reshape(-1, n, n).swapaxes(-1, -2)
 
 
 def _by_distance(lams: np.ndarray, mu: complex) -> np.ndarray:
@@ -286,26 +272,21 @@ def split_eigen_operators(
 ) -> tuple[list[EigenOperator], list[EigenOperator]]:
     """Eigen-operators of S (eigendecomposed in ``spectrum``), split into (conserved, others).
 
-    The conserved ones come from ``null_space_operators``; the others are
-    the eigenpairs with |lambda - mu| > TARGET_EIGENVALUE_REL_TOL * scale,
-    sorted by (|lambda - mu|, arg lambda, |lambda|).
+    The conserved ones are a Hermitian orthonormal basis of the SVD null
+    space of S - mu 1, which stays robust at and near exceptional points
+    where S is defective.  The others are the eigenpairs with
+    |lambda - mu| > TARGET_EIGENVALUE_REL_TOL * scale, sorted by
+    (|lambda - mu|, arg lambda, |lambda|).  ``action(ops)`` applies S to
+    a stack of operators; S acts on column-stacked operators.
     """
+    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank)
+    conserved, _ = _hermitian_operators(_unvec_rows(basis.T), action, mu, tol_rank)
     tol = TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
     lams = spectrum.eigenvalues
     keep = np.flatnonzero([abs(lam - mu) > tol for lam in lams.tolist()])
     keep = keep[_by_distance(lams[keep], mu)]
-    n = int(round(np.sqrt(lams.size)))
-    # each eigenvector is a column-stacked operator
-    ops = spectrum.eigenvectors.T[keep].reshape(-1, n, n).swapaxes(-1, -2)
-    others, _ = _build_operators(ops, lams[keep], action)
-    return null_space_operators(smat, action, mu, tol_rank), others
-
-
-def conserved_operators(
-    h, tol_rank: float = DEFAULT_TOL_RANK
-) -> list[EigenOperator]:
-    """Hermitian orthonormal basis of the zero-rate eigenspace of L (see ``eigen_operators``)."""
-    return eigen_operators(h, tol_rank=tol_rank).conserved
+    others, _ = _build_operators(_unvec_rows(spectrum.eigenvectors.T[keep]), lams[keep], action)
+    return conserved, others
 
 
 def _kronecker_route(h, spectrum: Spectrum, tol_eig: float, tol_rank: float) -> LiouvillianResult:
@@ -365,9 +346,7 @@ def eigen_operators(
         return w.conj()[b[pairs], :, None] * w[a[pairs], None, :]
 
     action = partial(apply_liouvillian, h)
-    kept = products(zero)
-    vectors = kept.swapaxes(-1, -2).reshape(len(kept), -1).T  # column-stacked, as columns
-    conserved, q_conserved = _hermitian_operators(vectors, action, 0.0, tol_rank)
+    conserved, q_conserved = _hermitian_operators(products(zero), action, 0.0, tol_rank)
     moving = np.flatnonzero(~zero)
     moving = moving[_by_distance(rates[moving], 0.0)]
     transient, q_transient = _build_operators(products(moving), rates[moving], action)

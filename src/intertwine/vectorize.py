@@ -1,5 +1,7 @@
-"""Column-stacking vectorization and Kronecker sandwich identities.
+"""Column-stacking vectorization and the Kronecker sandwich identity.
 
+The reference for the paper's vec identities, checked by ``selfcheck``
+and the tests; the analysis itself works on operator stacks.
 Convention: vec stacks columns, so entry (p, q) of an N x N matrix
 (1-based) lands at vector index p + (q-1)N, i.e. 0-based index
 (p-1) + (q-1)N.  Getting this map wrong silently transposes every
@@ -28,10 +30,6 @@ def unvec(v) -> np.ndarray:
     if n * n != v.size:
         raise ValueError(f"length {v.size} is not a perfect square")
     return v.reshape((n, n), order="F")
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def sandwich_matrix(a, b) -> np.ndarray:

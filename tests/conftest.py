@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from intertwine.floquet import floquet_eigen_operators
 from intertwine.models import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: F401
 
 
@@ -18,3 +19,8 @@ def random_pt_symmetric(rng, n):
     p = np.fliplr(np.eye(n))
     a = random_complex(rng, n, n)
     return a + p @ a.conj() @ p
+
+
+def floquet_conserved(gf):
+    """The conserved operators of gf: the leading ones of floquet_eigen_operators, multiplier exactly 1."""
+    return [e for e in floquet_eigen_operators(gf) if e.rate == 1.0]

@@ -16,7 +16,7 @@ from intertwine.linalg import hs_norm, matexp, rank
 from intertwine.models import ID2, PLUS_X, SIGMA_X, SIGMA_Y, SIGMA_Z
 from intertwine.vectorize import unvec, vec
 
-from conftest import random_complex, random_pt_symmetric
+from conftest import floquet_conserved, random_complex, random_pt_symmetric
 from test_liouville import match_spectra, subspace_distance
 
 
@@ -62,7 +62,6 @@ def test_01_quantum_dimer_stroboscopic_traces():
         [SIGMA_X, eta2, plus.op, minus.op],
         steps_per_period=20,
         periods=50,
-        labels=["eta1", "eta2", "eta_plus", "eta_minus"],
     )
     assert all(series.normalized)
     strobe = series.stroboscopic_indices
@@ -94,7 +93,6 @@ def test_02_classical_dimer_traces():
         [SIGMA_Y, plus.op, minus.op],
         steps_per_period=20,
         periods=50,
-        labels=["sigma_y", "eta_plus", "eta_minus"],
     )
     # real propagator, real state: the sigma_y expectation vanishes identically
     assert not series.normalized[0]
@@ -140,7 +138,7 @@ def test_04_spectrum_pairing_random_pt_symmetric(rng):
             continue  # resample away from accidental degeneracies
         lmat = lv.build_liouvillian(h)
         assert match_spectra(np.linalg.eigvals(lmat), predicted) < 1e-7
-        assert len(lv.conserved_operators(h)) == n
+        assert len(lv.eigen_operators(h).conserved) == n
         checked += 1
     _passed(4, "superoperator spectra pair as -i(e_p - conj(e_q)) with n zero modes, 100 samples")
 
@@ -182,11 +180,11 @@ def test_05_exponential_laws(rng):
 
 def test_06_static_intertwiner_identities():
     for gamma in (0.3, 0.5, 1.5):
-        q_ops = lv.conserved_operators(md.quantum_hamiltonian(1.0, gamma))
+        q_ops = lv.eigen_operators(md.quantum_hamiltonian(1.0, gamma)).conserved
         assert subspace_distance(
             [e.op for e in q_ops], [SIGMA_X, ID2 + gamma * SIGMA_Y]
         ) < 1e-8
-        c_ops = lv.conserved_operators(md.classical_hamiltonian(1.0, gamma))
+        c_ops = lv.eigen_operators(md.classical_hamiltonian(1.0, gamma)).conserved
         assert subspace_distance(
             [e.op for e in c_ops], [SIGMA_Y, ID2 - gamma * SIGMA_X]
         ) < 1e-8
@@ -227,7 +225,7 @@ def test_07_ep_contours():
 def test_08_time_shift_covariance():
     sched = md.quantum_dimer(_quantum_fig_params())
     gf = fl.propagator(sched).gf
-    etas = [e.op for e in fl.stroboscopic_conserved(gf)]
+    etas = [e.op for e in floquet_conserved(gf)]
     for frac in (0.25, 0.5, 0.75):
         t0 = frac * sched.period
         smat, shifted = fl.time_shift(sched, t0)

@@ -300,11 +300,20 @@ class TestFloquet:
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in h]}))
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, captured = run(["floquet", "--input", str(path), "--JT", "400", "--out", str(out)], capsys)
+        argv = ["floquet", "--input", str(path), "--JT", "400", "--out", str(out)]
+        code, captured = run(argv, capsys)
         assert code == 2
         assert "numerical failure: Floquet superoperator" in captured.err
         assert list(out.iterdir()) == []
+        # in a fresh interpreter, with no warning filter: the one message and nothing else
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "intertwine.cli", *argv], capture_output=True, text=True,
+            env={"PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: Floquet superoperator")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
     def test_recursive_check_present(self, tmp_path):
         assert run(
@@ -620,15 +629,15 @@ def per_sample_trace_tables(argv):
     series = fl.evolve_trace(
         sched, cli.parse_psi0(args.psi0), [e.op for e in ops],
         steps_per_period=args.steps_per_period, periods=args.periods,
-        rates=[e.rate for e in ops],
     )
     r = lambda x: repr(float(x))  # noqa: E731
     strobe = set(series.stroboscopic_indices.tolist())
     csv = ["t_over_T,operator_label,re_value,im_value,is_stroboscopic,"
            "re_lambda_pow_t,im_lambda_pow_t,normalized"]
     dat = {}
-    for a, label in enumerate(series.labels):
-        loglam = np.log(series.rates[a])
+    for a, op in enumerate(ops):
+        label = f"eta{a + 1}"
+        loglam = np.log(op.rate)
         lines = ["# t_over_T re_value im_value re_ref"]
         for i, t in enumerate(series.times):
             v = series.values[a, i]

@@ -26,7 +26,7 @@ from intertwine.models import (
 from intertwine.selfcheck import match_spectra
 from intertwine.vectorize import vec
 
-from conftest import random_complex, random_pt_symmetric
+from conftest import floquet_conserved, random_complex, random_pt_symmetric
 
 
 def fig1_params():
@@ -222,14 +222,14 @@ class TestStroboscopicConserved:
         p = fig1_params()
         gf = fl.propagator(quantum_dimer(p)).gf
         c = analytic_floquet_coeffs(Model.QUANTUM, p)
-        ops = fl.stroboscopic_conserved(gf)
+        ops = floquet_conserved(gf)
         assert len(ops) == 2
         want = [SIGMA_X, c.gx * ID2 + c.gy * SIGMA_Z]
         assert subspace_distance([e.op for e in ops], want) < 1e-8
 
     def test_classical_contains_sigma_y(self):
         gf = fl.propagator(classical_dimer(fig2_params())).gf
-        ops = fl.stroboscopic_conserved(gf)
+        ops = floquet_conserved(gf)
         basis = np.column_stack([vec(e.op) for e in ops])
         v = vec(SIGMA_Y) / hs_norm(SIGMA_Y)
         proj = basis @ (basis.conj().T @ v)
@@ -237,7 +237,7 @@ class TestStroboscopicConserved:
 
     def test_unitary_conserves_identity(self):
         gf = matexp(-1j * 0.7 * SIGMA_X)
-        ops = fl.stroboscopic_conserved(gf)
+        ops = floquet_conserved(gf)
         basis = np.column_stack([vec(e.op) for e in ops])
         v = vec(ID2) / hs_norm(ID2)
         proj = basis @ (basis.conj().T @ v)
@@ -245,7 +245,7 @@ class TestStroboscopicConserved:
 
     def test_residuals(self):
         gf = fl.propagator(quantum_dimer(fig1_params())).gf
-        for e in fl.stroboscopic_conserved(gf):
+        for e in floquet_conserved(gf):
             assert e.residual < 1e-10
             assert e.hermitian
 
@@ -381,7 +381,7 @@ class TestTimeShift:
         smat, shifted = fl.time_shift(sched, p.T / 2)
         gf_shift = fl.propagator(shifted).gf
         sinv = np.linalg.inv(smat)
-        for e in fl.stroboscopic_conserved(gf):
+        for e in floquet_conserved(gf):
             eta = sinv.conj().T @ e.op @ sinv
             res = hs_norm(gf_shift.conj().T @ eta @ gf_shift - eta)
             assert res < 1e-8
@@ -466,12 +466,12 @@ class TestSharedCoreProperties:
         sched = fl.Schedule(dim=n, events=[fl.Segment(t, h)])
         fp = fl.propagator(sched)
         ops = fl.floquet_eigen_operators(fp.gf)
-        floquet_conserved = [e for e in ops if e.rate == 1.0]
+        conserved = [e for e in ops if e.rate == 1.0]
 
         assert len(ops) == n * n
-        assert len(floquet_conserved) == len(static.conserved) >= n
+        assert len(conserved) == len(static.conserved) >= n
         assert np.allclose(
-            _hs_projector(floquet_conserved), _hs_projector(static.conserved), atol=1e-6
+            _hs_projector(conserved), _hs_projector(static.conserved), atol=1e-6
         )
         want = np.exp(np.array([e.rate for e in static.conserved + static.transient]) * t)
         got = np.array([e.rate for e in ops])

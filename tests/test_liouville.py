@@ -73,20 +73,20 @@ class TestPredictedRates:
 class TestConservedOperators:
     def test_quantum_dimer_span(self):
         gamma = 0.5
-        ops = lv.conserved_operators(quantum_hamiltonian(1.0, gamma))
+        ops = lv.eigen_operators(quantum_hamiltonian(1.0, gamma)).conserved
         want = [SIGMA_X, ID2 + gamma * SIGMA_Y]
         assert subspace_distance([e.op for e in ops], want) < 1e-8
 
     def test_classical_dimer_span(self):
         gamma = 0.5
-        ops = lv.conserved_operators(classical_hamiltonian(1.0, gamma))
+        ops = lv.eigen_operators(classical_hamiltonian(1.0, gamma)).conserved
         want = [SIGMA_Y, ID2 - gamma * SIGMA_X]
         assert subspace_distance([e.op for e in ops], want) < 1e-8
 
     def test_hermitian_h_conserves_identity(self, rng):
         a = random_complex(rng, 3, 3)
         h = a + a.conj().T
-        ops = lv.conserved_operators(h)
+        ops = lv.eigen_operators(h).conserved
         basis = np.column_stack([vec(e.op) for e in ops])
         v = vec(np.eye(3, dtype=complex))
         proj = basis @ (basis.conj().T @ v)
@@ -94,7 +94,7 @@ class TestConservedOperators:
 
     def test_all_hermitian_with_small_residual(self):
         for gamma in (0.3, 0.5, 1.5):
-            for e in lv.conserved_operators(quantum_hamiltonian(1.0, gamma)):
+            for e in lv.eigen_operators(quantum_hamiltonian(1.0, gamma)).conserved:
                 assert e.hermitian
                 assert hs_norm(e.op - e.op.conj().T) < 1e-10
                 assert e.residual < 1e-8
@@ -102,8 +102,30 @@ class TestConservedOperators:
 
     def test_zero_mode_count(self):
         for gamma in (0.3, 0.5, 1.5):
-            assert len(lv.conserved_operators(quantum_hamiltonian(1.0, gamma))) == 2
-        assert len(lv.conserved_operators(2.5 * ID2)) == 4
+            assert len(lv.eigen_operators(quantum_hamiltonian(1.0, gamma)).conserved) == 2
+        assert len(lv.eigen_operators(2.5 * ID2).conserved) == 4
+
+
+class TestHermitizeBasis:
+    def test_hermitian_orthonormal_with_the_same_span(self, rng):
+        # complex combinations of Hermitian matrices span a dagger-closed subspace
+        herm = [a + a.conj().T for a in (random_complex(rng, 3, 3) for _ in range(3))]
+        ops = np.einsum("kj,jab->kab", random_complex(rng, 3, 3), np.array(herm))
+        basis = lv.hermitize_basis(ops)
+        assert len(basis) == 3
+        for b in basis:
+            assert hs_norm(b - b.conj().T) < 1e-12
+        gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
+        assert np.allclose(gram, np.eye(3), atol=1e-12)
+        assert subspace_distance(basis, ops) < 1e-10
+
+    def test_empty_stack(self):
+        assert lv.hermitize_basis(np.zeros((0, 2, 2), dtype=complex)) == []
+
+    def test_rejects_a_subspace_not_closed_under_the_adjoint(self):
+        sigma_plus = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError):
+            lv.hermitize_basis(sigma_plus[None])
 
 
 class TestEigenOperators:
@@ -112,6 +134,13 @@ class TestEigenOperators:
         assert len(res.conserved) == 2
         assert len(res.transient) == 2
         assert len(res.conserved) + len(res.transient) == 4
+
+    def test_generic_h_has_no_conserved_operators(self, rng):
+        # no pair e_a = conj(e_b) without PT symmetry: an empty conserved stack
+        res = lv.eigen_operators(random_complex(rng, 3, 3))
+        assert res.path == "rank-1"
+        assert res.conserved == []
+        assert len(res.transient) == 9
 
     def test_transient_match_closed_form_quantum(self):
         p = DimerParams(J=1.0, gamma=0.5)
@@ -303,7 +332,7 @@ class TestVerifyIntertwining:
 
     def test_conserved_ops_have_zero_residual(self, rng):
         h = random_pt_symmetric(rng, 3)
-        for e in lv.conserved_operators(h):
+        for e in lv.eigen_operators(h).conserved:
             assert lv.verify_intertwining(e.op, h) < 1e-8 * hs_norm(h)
 
     def test_shape_mismatch(self):
