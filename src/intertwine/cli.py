@@ -551,24 +551,24 @@ def run_scan(args) -> int:
     if "csv" in fmts:
         (out / "scan_grid.csv").write_text("\n".join(lines) + "\n")
 
-    def disc(gj: float, jt: float) -> float:
+    def disc(gj, jt):
         if waveform is md.Waveform.STATIC:
             return 1.0 - gj * gj
         p = md.DimerParams(J=args.J, gamma=gj * args.J, T=jt / args.J, waveform=waveform)
         return md.numerical_discriminant(model, p)
 
-    contour = []
-    for jt, row in zip(jts, values):
-        analytic = None
+    def analytic(jt):
+        if waveform is md.Waveform.STATIC:
+            return 1.0
         if waveform is md.Waveform.DELTA_KICKS and model is md.Model.CLASSICAL:
             try:
-                analytic = md.classical_ep_gamma(jt, args.J)
+                return md.classical_ep_gamma(jt, args.J)
             except ValueError:
                 pass
-        elif waveform is md.Waveform.STATIC:
-            analytic = 1.0
-        for root in md.contour_roots(disc, gammas, row, jt, xtol=1e-10, floor=1e-9):
-            contour.append((root, float(jt), analytic))
+        return None
+
+    contour = [(root, jt, analytic(jt))
+               for root, jt in md.contour_roots(disc, gammas, values, jts, xtol=1e-10, floor=1e-9)]
     if "csv" in fmts:
         clines = ["gamma_over_j,jt,analytic_gamma_over_j"]
         for gj, jt, ana in contour:

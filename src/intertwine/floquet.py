@@ -293,9 +293,9 @@ def time_shift(s: Schedule, t0: float, tol: float = 1e-9):
     for ev in before:
         smat = ev.factor() @ smat
     shifted = Schedule(dim=s.dim, events=after + before)
-    gf = propagator(s).gf
+    gf = compose(s)
     expected = smat @ gf @ np.linalg.inv(smat)
-    got = propagator(shifted).gf
+    got = compose(shifted)
     if hs_norm(got - expected) > tol * max(hs_norm(gf), 1.0):
         raise ValueError("time-shift covariance check failed")
     return smat, shifted

@@ -61,6 +61,27 @@ def hs_norm(a):
     return _vector_norms(a.reshape(*a.shape[:-2], -1))
 
 
+def pow2_exponent(a) -> np.ndarray:
+    """Per matrix of ``a`` (..., m, n), the binary exponent p >= 0 of max|a_ij|.
+
+    Dividing by 2^p is exact, and a / 2^p has entries below 1, so its
+    Frobenius norm cannot overflow.
+    """
+    return np.maximum(np.frexp(np.abs(a).max(axis=(-2, -1)))[1], 0)
+
+
+def scaled_hs_norm(a):
+    """``hs_norm`` taken on a / 2^p and scaled back by 2^p (p from ``pow2_exponent``).
+
+    The same bits as ``hs_norm`` where that is finite, and finite
+    wherever ||a||_F fits a double.
+    """
+    a = np.asarray(a, dtype=complex)
+    p = pow2_exponent(a)
+    nrm = np.ldexp(hs_norm(a * np.ldexp(1.0, -p)[..., None, None]), p)
+    return float(nrm) if a.ndim <= 2 else nrm
+
+
 def matexp(a) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade approximants.
 
@@ -101,7 +122,7 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     # the contract is checked on A / 2^p, 2^p about max|A_ij| where that
     # is >= 1: dividing by a power of two is exact, so every decision and
     # residual is as on A, but ||A||_F cannot overflow
-    p = np.maximum(np.frexp(np.abs(a).max(axis=(-2, -1)))[1], 0)[..., None]
+    p = pow2_exponent(a)[..., None]
     f = np.ldexp(1.0, -p)[..., None]
     scale = np.asarray(hs_norm(a * f))[..., None]
     try:

@@ -37,6 +37,8 @@ from .linalg import (
     eig,
     hs_norm,
     null_space,
+    pow2_exponent,
+    scaled_hs_norm,
 )
 
 # a superoperator eigenvalue lambda with |lambda - mu| <= this times the
@@ -142,7 +144,11 @@ def build_liouvillian(h) -> np.ndarray:
 def liouvillian_norm(h) -> float:
     """Frobenius norm of L in closed form, sqrt(2N ||H||_F^2 - 2 Re((tr H)^2)), without forming L."""
     h = as_matrix(h)
-    return float(np.sqrt(max(2 * h.shape[0] * hs_norm(h) ** 2 - 2 * (np.trace(h) ** 2).real, 0.0)))
+    # on h / 2^p, scaled back: exact, and finite wherever ||L||_F is
+    p = int(pow2_exponent(h))
+    h = h * np.ldexp(1.0, -p)
+    norm = np.sqrt(max(2 * h.shape[0] * hs_norm(h) ** 2 - 2 * (np.trace(h) ** 2).real, 0.0))
+    return float(np.ldexp(norm, p))
 
 
 def apply_liouvillian(h, eta) -> np.ndarray:
@@ -416,7 +422,7 @@ def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
 
 def _hamiltonian_phase(h, w, v, tol: float):
     """PT phase of H (or a stack) from its eigenvalues ``w`` and eigenvectors ``v``."""
-    return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), hs_norm(h), tol)
+    return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), scaled_hs_norm(h), tol)
 
 
 def verify_pt_symmetry(h, p) -> float:

@@ -258,27 +258,110 @@ def numerical_discriminant(model: Model, p: DimerParams):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def contour_roots(disc, gammas, values, jt: float, xtol: float, floor: float = -np.inf) -> list[float]:
-    """Roots of ``disc(gamma_over_j, jt)`` by Brent's method, one per sign change of a row.
+# brentq's default relative tolerance
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
-    ``values[k]`` is disc(gammas[k], jt), known from the caller's own
-    evaluation of the row; NaN marks a point that could not be evaluated.
-    An interval is skipped when its left value is 0, when its two values
-    have the same sign or one is NaN, and when Brent's method finds no
-    bracket on [max(left end, floor), right end].
+
+def brent_roots(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
+    """Brent's method on every bracket [lo[j], hi[j]] of 1-D arrays at once: each lane's root, NaN for none.
+
+    Each lane takes the steps of ``scipy.optimize.brentq`` (brentq.c:
+    rtol = 4 eps, at most 100 iterations), with the same expressions in
+    the same order, so it gets the bits of its own brentq call.  ``flo``
+    and ``fhi`` are the known values at the ends; ``f(x, lanes)`` gives
+    the values at x for the active lanes ``lanes`` and is called once per
+    iteration.  A value 0 at an end makes that end the root; a lane has
+    no root when its ends have the same sign bit or when a value is NaN
+    (where brentq raises ValueError).  Raises RuntimeError when a lane
+    does not converge, as brentq does.
     """
-    from scipy.optimize import brentq
+    xpre, xcur, fpre, fcur = (
+        np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, flo, fhi))
+    roots = np.full(xpre.shape, np.nan)
+    usable = ~(np.isnan(fpre) | np.isnan(fcur))
+    at_lo = usable & (fpre == 0)
+    at_hi = usable & ~at_lo & (fcur == 0)
+    roots[at_lo], roots[at_hi] = xpre[at_lo], xcur[at_hi]
+    lanes = np.flatnonzero(usable & ~at_lo & ~at_hi & (np.signbit(fpre) != np.signbit(fcur)))
+    xpre, xcur, fpre, fcur = xpre[lanes], xcur[lanes], fpre[lanes], fcur[lanes]
+    xblk, fblk, spre, scur = (np.zeros(lanes.size) for _ in range(4))
+    for _ in range(_BRENT_MAXITER):
+        if not lanes.size:
+            return roots
+        # a sign change between the last two iterates is the new bracket
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # keep the end with the smaller value as xcur
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
 
-    roots = []
-    for k in range(len(gammas) - 1):
-        lo, hi = gammas[k], gammas[k + 1]
-        if lo == hi or values[k] == 0.0 or not values[k] * values[k + 1] <= 0:
-            continue
-        try:
-            roots.append(float(brentq(disc, max(lo, floor), hi, args=(jt,), xtol=xtol)))
-        except ValueError:
-            continue
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        roots[lanes[done]] = xcur[done]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # interpolate (secant) where xpre is the bracket end, else extrapolate
+            # (inverse quadratic); only lanes that take the step use its value
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            # brentq.c's MIN(a, b) is (a < b ? a : b)
+            a, b = np.abs(spre), 3 * np.abs(sbis) - delta
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < np.where(a < b, a, b)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+
+        keep = ~done
+        lanes, xpre, xcur, xblk, fpre, fblk, spre, scur = (
+            v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fblk, spre, scur))
+        fcur = np.asarray(f(xcur, lanes), dtype=float) if lanes.size else np.zeros(0)
+        # a NaN value ends its lane without a root
+        live = ~np.isnan(fcur)
+        lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+            v[live] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))
+    if lanes.size:
+        raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} iterations "
+                           f"in {lanes.size} bracket(s)")
     return roots
+
+
+def contour_roots(disc, gammas, values, jts, xtol: float, floor: float = -np.inf) -> list[tuple[float, float]]:
+    """Roots of ``disc`` along each row of a grid, one per sign change: (root, jt) pairs, row by row.
+
+    ``values[i, k]`` is disc(gammas[k], jts[i]), known from the caller's
+    own evaluation of the grid; NaN marks a point that could not be
+    evaluated.  ``disc`` takes arrays of gamma and JT of one shape.  An
+    interval is skipped when its left value is 0, when its two values
+    have the same sign or one is NaN, and when Brent's method finds no
+    root on [max(left end, floor), right end].  All intervals are refined
+    together by ``brent_roots``; the left ends below ``floor`` are
+    evaluated in one call.
+    """
+    gammas, values, jts = (np.asarray(x, dtype=float) for x in (gammas, values, jts))
+    left, right = values[:, :-1], values[:, 1:]
+    with np.errstate(invalid="ignore"):
+        crossing = (gammas[:-1] != gammas[1:]) & (left != 0.0) & (left * right <= 0)
+    rows, ks = np.nonzero(crossing)
+    lo = np.maximum(gammas[ks], floor)
+    flo = left[rows, ks]
+    below = gammas[ks] < floor
+    if below.any():
+        flo[below] = disc(lo[below], jts[rows[below]])
+    roots = brent_roots(lambda x, lanes: disc(x, jts[rows[lanes]]), lo, gammas[ks + 1], flo,
+                        right[rows, ks], xtol)
+    found = ~np.isnan(roots)
+    return list(zip(roots[found].tolist(), jts[rows[found]].tolist()))
 
 
 def ep_contour(
@@ -289,29 +372,29 @@ def ep_contour(
     tol: float = 1e-10,
     use_numerical: bool = False,
 ) -> list[tuple[float, float]]:
-    """EP contour points (gamma/J, JT) by bisection on the discriminant.
+    """EP contour points (gamma/J, JT) by Brent's method on the discriminant, all JT at once.
 
     Raises when the bracket shows no sign change for some row.
     """
     waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
+    jts = np.asarray(jt_values, dtype=float)
 
-    def disc(gamma_over_j: float, jt: float) -> float:
-        p = DimerParams(J=J, gamma=gamma_over_j * J, T=jt / J, waveform=waveform)
+    def disc(gamma_over_j, jt):
         if use_numerical:
-            return numerical_discriminant(model, p)
-        return analytic_discriminant(model, p)
+            return numerical_discriminant(
+                model, DimerParams(J=J, gamma=gamma_over_j * J, T=jt / J, waveform=waveform))
+        return np.array([
+            analytic_discriminant(model, DimerParams(J=J, gamma=g * J, T=t / J, waveform=waveform))
+            for g, t in zip(gamma_over_j.tolist(), jt.tolist())
+        ])
 
-    points = []
-    for jt in jt_values:
-        ends = [disc(g, jt) for g in gamma_bracket]
-        if ends[0] == 0.0:
-            points.append((gamma_bracket[0], float(jt)))
-            continue
-        roots = contour_roots(disc, gamma_bracket, ends, jt, tol)
-        if not roots:
+    lo, hi = (np.full(jts.size, float(g)) for g in gamma_bracket)
+    flo, fhi = np.split(disc(np.concatenate([lo, hi]), np.tile(jts, 2)), 2)
+    roots = brent_roots(lambda x, lanes: disc(x, jts[lanes]), lo, hi, flo, fhi, tol)
+    for root, jt in zip(roots, jts.tolist()):
+        if np.isnan(root):
             raise ValueError(f"no sign change in gamma bracket {gamma_bracket} at JT={jt}")
-        points.append((roots[0], float(jt)))
-    return points
+    return list(zip(roots.tolist(), jts.tolist()))
 
 
 def classical_ep_gamma(jt: float, J: float = 1.0) -> float:

@@ -220,6 +220,22 @@ class TestStatic:
             assert abs(as_complex(ea["rate"]) - as_complex(eb["rate"])) < 1e-12
             assert np.max(np.abs(as_matrix(ea["matrix"]) - as_matrix(eb["matrix"]))) < 1e-12
 
+    def test_large_hamiltonian_reports_as_unscaled(self, tmp_path, capsys):
+        # ||H||_F of 1e160 H overflows a double, ||H / 2^p||_F does not
+        rng = np.random.default_rng(0)
+        a = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 2
+        p = np.fliplr(np.eye(4))
+        h = a + p @ a.conj() @ p
+        outs = []
+        for name, m in (("h", h), ("big", 1e160 * h)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in m]}))
+            code, captured = run(["static", "--input", str(path), "--out", str(tmp_path / name)], capsys)
+            assert code == 0
+            outs.append(captured.out)
+        assert outs[1] == outs[0]
+        assert "phase=broken, 4 conserved / 12 transient" in outs[0]
+
     def test_broken_phase_report(self, tmp_path):
         assert run(
             ["static", "--model", "quantum-dimer", "--gamma", "1.5",
@@ -716,7 +732,7 @@ class TestOutputBytes:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, intertwine.cli; print('scipy.optimize' in sys.modules)"
         done = subprocess.run(
@@ -724,3 +740,13 @@ class TestStartup:
             env={"PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+        # nor does a scan, whose EP contour is refined by models.brent_roots
+        scan = ["scan", "--model", "classical-dimer", "--grid", "0:2:11,0.5:3:6",
+                "--out", str(tmp_path)]
+        code = f"import sys, intertwine.cli as c; c.main({scan!r}); print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "contour.csv").read_text().count("\n") > 1

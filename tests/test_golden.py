@@ -36,6 +36,12 @@ def _cases() -> dict[str, list[str]]:
             "trace", "--model", model, "--gamma", "0.5", "--JT", "1", "--periods", "4",
             "--steps-per-period", "8", "--format", "csv,json,gnuplot"]
         cases[f"scan-{model}"] = ["scan", "--model", model, "--grid", "0:2:11,0.5:3:6"]
+    # denser scans: more contour points, two of them in the first interval
+    # of a classical row (the floor path of contour_roots)
+    dense = "0:2.4:25,0.3:3.3:13"
+    cases["scan-classical-dimer-dense"] = ["scan", "--model", "classical-dimer", "--grid", dense]
+    cases["scan-quantum-dimer-dense"] = [
+        "scan", "--model", "quantum-dimer", "--grid", dense, "--J", "2"]
     cases["static-n4"] = ["static", "--input", str(H4)]
     cases["floquet-n4"] = ["floquet", "--input", str(H4), "--JT", "0.7"]
     cases["verify"] = ["verify"]

@@ -294,6 +294,8 @@ class TestRankOnePath:
             h = random_complex(rng, n, n)
             want = hs_norm(lv.build_liouvillian(h))
             assert lv.liouvillian_norm(h) == pytest.approx(want, rel=1e-14)
+            # a power of two scales it exactly, also where ||H||_F^2 overflows
+            assert lv.liouvillian_norm(2.0**600 * h) == 2.0**600 * lv.liouvillian_norm(h)
 
     def test_stacked_canonicalization_equals_one_operator_at_a_time(self, rng):
         ops = random_complex(rng, 40, 3, 3)

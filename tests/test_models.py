@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from intertwine import floquet as fl
 from intertwine import liouville as lv
@@ -204,11 +207,164 @@ class TestEPContour:
         def disc(gj, jt):
             return np.cos(gj * jt)
 
-        values = np.cos(gammas)
-        assert md.contour_roots(disc, gammas, values, 1.0, 1e-12) == pytest.approx(
-            [np.pi / 2, 3 * np.pi / 2], abs=1e-10)
-        values[5] = np.nan
-        assert md.contour_roots(disc, gammas, values, 1.0, 1e-12) == pytest.approx([np.pi / 2])
+        values = np.cos(gammas)[None, :]
+        roots = md.contour_roots(disc, gammas, values, [1.0], 1e-12)
+        assert [jt for _, jt in roots] == [1.0, 1.0]
+        assert [r for r, _ in roots] == pytest.approx([np.pi / 2, 3 * np.pi / 2], abs=1e-10)
+        values[0, 5] = np.nan
+        roots = md.contour_roots(disc, gammas, values, [1.0], 1e-12)
+        assert [r for r, _ in roots] == pytest.approx([np.pi / 2])
+
+
+def smooth(params, x):
+    """tanh(a x + b) + c sin(d x) + e, one parameter row per entry of x."""
+    a, b, c, d, e = np.asarray(params).T
+    return np.tanh(a * x + b) + c * np.sin(d * x) + e
+
+
+def brentq_or_nan(f, lo, hi, xtol):
+    """scipy's brentq, NaN where it finds no bracket or meets a NaN (ValueError)."""
+    try:
+        return brentq(f, lo, hi, xtol=xtol)
+    except ValueError:
+        return np.nan
+
+
+class TestBrentRoots:
+    """``brent_roots`` against one ``scipy.optimize.brentq`` call per bracket, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.lists(
+            st.tuples(*(st.floats(-3.0, 3.0) for _ in range(5))), min_size=1, max_size=4),
+        xtol=st.sampled_from([1e-6, 1e-10, 1e-12]),
+    )
+    def test_matches_brentq_bit_for_bit(self, params, xtol):
+        xs = np.linspace(-4.0, 4.0, 33)
+        lanes_of = []
+        for j, row in enumerate(params):
+            v = smooth([row], xs)
+            lanes_of += [(j, k) for k in np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))]
+        assume(lanes_of)
+        fn, ks = (np.array(x) for x in zip(*lanes_of))
+        rows = np.array(params)[fn]
+        lo, hi = xs[ks], xs[ks + 1]
+        got = md.brent_roots(lambda x, lanes: smooth(rows[lanes], x), lo, hi,
+                             smooth(rows, lo), smooth(rows, hi), xtol)
+        want = [brentq_or_nan(lambda x, r=r: smooth([r], x)[0], a, b, xtol)
+                for r, a, b in zip(rows, lo, hi)]
+        np.testing.assert_array_equal(got, want)
+        assert not np.isnan(got).any()
+
+    def test_ends_decide_without_evaluation(self):
+        def f(x, lanes):
+            raise AssertionError("an end value was evaluated again")
+
+        lo = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        hi = np.array([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        flo = np.array([0.0, -1.0, 1.0, np.nan, -1.0, 0.0])
+        fhi = np.array([2.0, 0.0, 2.0, 1.0, np.nan, np.nan])
+        got = md.brent_roots(f, lo, hi, flo, fhi, 1e-12)
+        # zero at the left end, zero at the right end, same sign, NaN ends
+        np.testing.assert_array_equal(got, [1.0, 1.0, np.nan, np.nan, np.nan, np.nan])
+        # brentq agrees where its end values are these
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert brentq(lambda x: x - 1.0, -1.0, 1.0) == 1.0
+        with pytest.raises(ValueError):
+            brentq(lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_nan_mid_iteration_ends_only_its_lane(self):
+        # lane 0 first steps to x = 0.3, where f is NaN; lane 1 is clean
+        def g(x, shift):
+            return np.where((x > 0.2) & (x < 0.4) & (shift == 0.3), np.nan, x - shift)
+
+        shifts = np.array([0.3, 0.7])
+        lo, hi = np.zeros(2), np.full(2, 2.0)
+        got = md.brent_roots(lambda x, lanes: g(x, shifts[lanes]), lo, hi,
+                             g(lo, shifts), g(hi, shifts), 1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: float(g(x, 0.3)), 0.0, 2.0, xtol=1e-12)
+        assert np.isnan(got[0])
+        assert got[1] == brentq(lambda x: float(g(x, 0.7)), 0.0, 2.0, xtol=1e-12)
+
+    def test_lanes_converge_at_different_iterations(self):
+        # a root the first secant step hits, and roots of ever more curved functions
+        curvature = np.array([0.0, 1.0, 40.0])
+        calls = []
+
+        def f(x, lanes):
+            assert np.all(np.diff(lanes) > 0)  # each active lane once, in order
+            calls.append(lanes.size)
+            return (x - 0.3) * (1 + curvature[lanes] * x * x)
+
+        lo, hi = np.zeros(3), np.ones(3)
+        got = md.brent_roots(f, lo, hi, lo - 0.3, (hi - 0.3) * (1 + curvature), 1e-12)
+        assert calls == sorted(calls, reverse=True) and len(set(calls)) == 3
+        for lane, c in enumerate(curvature):
+            assert got[lane] == brentq(lambda x: (x - 0.3) * (1 + c * x * x), 0.0, 1.0, xtol=1e-12)
+
+    def test_no_convergence_raises_like_brentq(self):
+        # bisection towards a root at 0 with xtol 1e-300 needs ~1000 steps
+        with pytest.raises(RuntimeError):
+            brentq(np.cbrt, -1.0, 2.0, xtol=1e-300)
+        with pytest.raises(RuntimeError):
+            md.brent_roots(lambda x, lanes: np.cbrt(x), -1.0, 2.0, np.cbrt(-1.0), np.cbrt(2.0), 1e-300)
+
+
+class TestEvaluationCount:
+    def test_contour_roots_evaluates_each_new_point_once(self):
+        gammas = np.linspace(0.0, 3.0, 7)
+        jts = np.array([0.5, 1.0, 2.0])
+        floor = 1e-9
+
+        def disc(gj, jt):
+            return np.cos(3.0 * gj * jt) - 0.5 + 0.7 * jt
+
+        calls = []
+
+        def counting(gj, jt):
+            assert gj.shape == jt.shape
+            calls.append(set(zip(gj.tolist(), jt.tolist())))
+            assert len(calls[-1]) == gj.size  # no lane twice in one call
+            return disc(gj, jt)
+
+        values = disc(gammas[None, :], jts[:, None])
+        roots = md.contour_roots(counting, gammas, values, jts, 1e-10, floor)
+        known = {(g, t) for g in gammas.tolist() for t in jts.tolist()}
+        assert all(not (c & known) for c in calls)
+        # the rows crossing in their first interval start at the floor, all in one call
+        first = {t for t in jts.tolist() if disc(np.float64(0.0), t) * disc(gammas[1], t) <= 0}
+        assert first and calls[0] == {(floor, t) for t in first}
+        # the same roots as one brentq call per interval
+        want = []
+        for t in jts.tolist():
+            row = disc(gammas, t)
+            for k in range(gammas.size - 1):
+                if row[k] != 0 and row[k] * row[k + 1] <= 0:
+                    f = lambda g, t=t: float(disc(np.float64(g), t))  # noqa: E731
+                    want.append((brentq(f, max(gammas[k], floor), gammas[k + 1], xtol=1e-10), t))
+        assert roots == want
+
+    def test_ep_contour_makes_few_discriminant_calls(self, monkeypatch):
+        calls = []
+        numerical = md.numerical_discriminant
+
+        def counting(model, p):
+            calls.append(np.size(p.gamma))
+            return numerical(model, p)
+
+        monkeypatch.setattr(md, "numerical_discriminant", counting)
+        jts = np.linspace(0.6, 2.4, 5)
+        got = md.ep_contour(md.Model.CLASSICAL, jts, (1e-6, 6.0), tol=1e-12, use_numerical=True)
+        assert len(calls) <= 20
+        assert calls[0] == 2 * jts.size  # every bracket end in one call
+        # the same bits as one brentq call per JT on the scalar discriminant
+        for (root, jt), want_jt in zip(got, jts.tolist()):
+            def f(gj, jt=want_jt):
+                p = md.DimerParams(gamma=gj, T=jt, waveform=md.Waveform.DELTA_KICKS)
+                return numerical(md.Model.CLASSICAL, p)
+
+            assert (root, jt) == (brentq(f, 1e-6, 6.0, xtol=1e-12), want_jt)
 
 
 class TestBasisRotation:
