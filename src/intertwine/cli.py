@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -121,12 +122,13 @@ def _parse_complex(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        with contextlib.suppress(ValueError, TypeError):
+            return complex(float(obj[0]), float(obj[1]))
     raise ConfigError(f"cannot parse complex entry {obj!r}; use a number or [re, im]")
 
 
 def parse_matrix(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
+    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise ConfigError("matrix must be a non-empty list of rows")
     rows = [[_parse_complex(z) for z in row] for row in obj]
     widths = {len(r) for r in rows}
@@ -142,25 +144,27 @@ def parse_schedule(obj) -> fl.Schedule:
     try:
         dim = int(obj["dim"])
         raw_events = obj["events"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"schedule JSON needs 'dim' and 'events': {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"schedule JSON needs an integer 'dim' and 'events': {exc}") from exc
+    if not isinstance(raw_events, list):
+        raise ConfigError("schedule JSON 'events' must be a list")
     events = []
     for i, ev in enumerate(raw_events):
+        body = ev.get("segment", ev.get("kick")) if isinstance(ev, dict) else None
+        if not isinstance(body, dict):
+            raise ConfigError(f"event {i}: expected an object 'segment' or 'kick'")
         if "segment" in ev:
-            seg = ev["segment"]
-            if "duration" not in seg or "h" not in seg:
+            if "duration" not in body or "h" not in body:
                 raise ConfigError(f"event {i}: segment needs 'duration' and 'h'")
-            h = parse_matrix(seg["h"])
+            h = parse_matrix(body["h"])
             try:
-                events.append(fl.Segment(float(seg["duration"]), h))
+                events.append(fl.Segment(float(body["duration"]), h))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"event {i}: {exc}") from exc
-        elif "kick" in ev:
-            if "k" not in ev["kick"]:
-                raise ConfigError(f"event {i}: kick needs 'k'")
-            events.append(fl.Kick(parse_matrix(ev["kick"]["k"])))
         else:
-            raise ConfigError(f"event {i}: expected 'segment' or 'kick'")
+            if "k" not in body:
+                raise ConfigError(f"event {i}: kick needs 'k'")
+            events.append(fl.Kick(parse_matrix(body["k"])))
     try:
         return fl.Schedule(dim=dim, events=events)
     except (ValueError, TypeError) as exc:
@@ -203,7 +207,7 @@ def parse_grid(text: str):
 
 def _check_options(args) -> None:
     """Reject numerical options outside their domain, before anything is computed or written."""
-    for name in ("tol_eig", "tol_rank"):
+    for name in ("tol_eig", "tol_rank", "tol_override"):
         value = getattr(args, name, None)
         if value is not None and not 0.0 < value < np.inf:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {value!r}")
@@ -254,6 +258,8 @@ def resolve_schedule(args, periodic: bool) -> fl.Schedule:
         raise ConfigError("provide exactly one of --model or --input")
     if args.input is not None:
         obj = _load_json(args.input)
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{args.input}: expected a JSON object")
         if "matrix" in obj:
             h = parse_matrix(obj["matrix"])
             try:

@@ -256,8 +256,7 @@ def _split_events(s: Schedule, t0: float):
     before, after = [], []
     t = 0.0
     boundary_tol = 1e-12 * s.period
-    remaining = list(s.events)
-    for i, ev in enumerate(remaining):
+    for ev in s.events:
         if isinstance(ev, Kick):
             if abs(t - t0) <= boundary_tol:
                 raise ValueError(f"t0={t0} lands exactly on a kick; shift is ambiguous")
@@ -323,13 +322,18 @@ def evolve_trace(
     steps_per_period: int = 200,
     periods: int = 10,
 ) -> TraceSeries:
-    """Dense-time evolution of normalized expectation values.
+    """Dense-time evolution of normalized expectation values <psi|eta|psi>.
 
-    Within segments the state advances by exact matrix exponentials of
-    the sampled sub-interval; kicks are applied atomically (samples that
-    coincide with a kick instant see the post-kick state).  Stroboscopic
-    samples are generated by repeated application of the one-period
-    propagator so they do not accumulate substep drift.
+    The stroboscopic states psi(mT) = gf^m psi0 are repeated products by
+    gf, so they do not accumulate substep drift.  Every other sample is
+    one batched product of its partial propagator with the stroboscopic
+    state before it.  The partial propagators inside a segment come from
+    one stacked exponential of their sub-intervals; kicks act atomically
+    (a sample inside the period that coincides with a kick instant sees
+    the post-kick state), and samples at the end of the period get gf.
+    Each operator's values are one batched bra-ket product, divided by
+    their value at psi0 unless that vanishes.  Values that overflow are
+    left non-finite.
     """
     if s.batch_shape:
         raise ValueError("evolve_trace needs a schedule without batch axes")
@@ -347,45 +351,33 @@ def evolve_trace(
     acc = np.eye(s.dim, dtype=complex)
     t = 0.0
     k = 0
-    boundary_tol = 1e-12 * s.period
     for ev in s.events:
-        if isinstance(ev, Kick):
-            acc = ev.factor() @ acc
-            continue
-        end = t + ev.duration
-        while k < steps_per_period and t_samples[k] < end - boundary_tol:
-            partials[k] = matexp(-1j * (t_samples[k] - t) * ev.generator) @ acc
-            k += 1
+        if isinstance(ev, Segment):
+            end = t + ev.duration
+            stop = np.searchsorted(t_samples, end - 1e-12 * s.period)
+            partials[k:stop] = matexp((-1j * (t_samples[k:stop] - t))[:, None, None] * ev.generator) @ acc
+            k, t = stop, end
         acc = ev.factor() @ acc
-        t = end
-    while k < steps_per_period:  # samples at the trailing boundary
-        partials[k] = acc
-        k += 1
-    gf = acc
+    partials[k:] = acc  # samples at the trailing boundary
 
-    n_times = periods * steps_per_period + 1
-    times = np.arange(n_times) / steps_per_period
-    values = np.empty((len(etas), n_times), dtype=complex)
-    denoms = [np.vdot(psi0, e @ psi0) for e in etas]
-    norm_flags = [
-        bool(abs(d) > 1e-12 * hs_norm(e) * float(np.vdot(psi0, psi0).real))
-        for d, e in zip(denoms, etas)
-    ]
-    psi_m = psi0.copy()
-    for m in range(periods + 1):
-        block = range(steps_per_period) if m < periods else [0]
-        for j in block:
-            psi = partials[j] @ psi_m if (m < periods and j > 0) else psi_m
-            idx = m * steps_per_period + j
-            for a, e in enumerate(etas):
-                values[a, idx] = np.vdot(psi, e @ psi)
-        psi_m = gf @ psi_m
-    for a in range(len(etas)):
-        if norm_flags[a]:
-            values[a] /= denoms[a]
+    norm0 = float(np.vdot(psi0, psi0).real)
+    strobe = [psi0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(periods):
+            strobe.append(acc @ strobe[-1])
+        strobe = np.array(strobe)
+        psi = (partials @ strobe[:-1, None, :, None])[..., 0]
+        psi[:, 0] = strobe[:-1]  # a stroboscopic sample sees the state before any kick at t = 0
+        psi = np.concatenate([psi.reshape(-1, s.dim), strobe[-1:]])
+        bra = psi.conj()[:, None, :]
+        values = np.array([(bra @ (e @ psi[:, :, None]))[:, 0, 0] for e in etas], dtype=complex)
+        values = values.reshape(len(etas), len(psi))
+        # the first sample is psi0, so its values are the denominators
+        flags = np.array([abs(d) > 1e-12 * hs_norm(e) * norm0 for d, e in zip(values[:, 0], etas)], dtype=bool)
+        values[flags] /= values[flags, :1]
     return TraceSeries(
-        times=times,
+        times=np.arange(len(psi)) / steps_per_period,
         values=values,
         stroboscopic_indices=np.arange(periods + 1) * steps_per_period,
-        normalized=norm_flags,
+        normalized=flags.tolist(),
     )

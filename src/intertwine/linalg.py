@@ -161,20 +161,20 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def null_space(a, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+def null_space(a, tol_rank: float = DEFAULT_TOL_RANK, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 
     Uses the SVD so the extraction stays well-conditioned even when the
-    matrix is defective.  Returns an (n, k) array; k may be 0.
+    matrix is defective.  Singular values up to tol_rank * scale count
+    as zero; ``scale`` defaults to sigma_max.  Returns an (n, k) array;
+    k may be 0.
     """
     if tol_rank <= 0:
         raise ValueError("tol_rank must be positive")
     a = as_matrix(a)
     _, s, vh = scipy.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    ncols = a.shape[1]
-    nkeep = int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
-    return vh[nkeep:].conj().T.copy() if nkeep < ncols else np.zeros((ncols, 0), dtype=complex)
+    nkeep = int(np.sum(s > tol_rank * (s[0] if scale is None else scale)))
+    return vh[nkeep:].conj().T.copy()
 
 
 def rank(a, tol_rank: float = DEFAULT_TOL_RANK):

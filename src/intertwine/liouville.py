@@ -279,13 +279,14 @@ def split_eigen_operators(
     """Eigen-operators of S (eigendecomposed in ``spectrum``), split into (conserved, others).
 
     The conserved ones are a Hermitian orthonormal basis of the SVD null
-    space of S - mu 1, which stays robust at and near exceptional points
-    where S is defective.  The others are the eigenpairs with
+    space of S - mu 1 (singular values up to tol_rank * scale), which
+    stays robust at and near exceptional points where S is defective.
+    The others are the eigenpairs with
     |lambda - mu| > TARGET_EIGENVALUE_REL_TOL * scale, sorted by
     (|lambda - mu|, arg lambda, |lambda|).  ``action(ops)`` applies S to
     a stack of operators; S acts on column-stacked operators.
     """
-    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank)
+    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank, scale)
     conserved, _ = _hermitian_operators(_unvec_rows(basis.T), action, mu, tol_rank)
     tol = TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
     lams = spectrum.eigenvalues

@@ -147,8 +147,20 @@ class TestConfigErrors:
             ("floquet", ["--JT", "inf"], {"matrix": [[0, 1], [1, 0]]}),
             ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": -1.0, "h": [[0, 1], [1, 0]]}}]}),
             ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": "nan", "h": [[0, 1], [1, 0]]}}]}),
+            ("floquet", [], {"dim": "x", "events": []}),
+            ("floquet", [], {"dim": 2, "events": 5}),
+            ("floquet", [], {"dim": 2, "events": [5]}),
+            ("trace", [], {"dim": 2, "events": [{"segment": 5}]}),
+            ("floquet", [], {"dim": 2, "events": [{"kick": 5}]}),
+            ("floquet", [], 5),
+            ("static", [], None),
+            ("floquet", [], {"matrix": [1, 2]}),
+            ("floquet", [], {"matrix": [[["a", 1]]]}),
         ],
-        ids=["negative-JT", "zero-JT", "nan-JT", "inf-JT", "negative-segment", "nan-segment"],
+        ids=["negative-JT", "zero-JT", "nan-JT", "inf-JT", "negative-segment", "nan-segment",
+             "dim-not-integer", "events-not-list", "event-not-object", "segment-not-object",
+             "kick-not-object", "top-level-number", "top-level-null", "matrix-row-not-list",
+             "entry-not-numbers"],
     )
     def test_invalid_input_schedule_exits_1(self, tmp_path, capsys, command, extra, source):
         path = tmp_path / "input.json"
@@ -187,6 +199,13 @@ class TestConfigErrors:
         assert code == 1
         assert captured.err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_tol_override_out_of_domain_exits_1(self, capsys, value):
+        code, captured = run(["verify", "--tol-override", value], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error: --tol-override")
+        assert captured.out == ""
 
 
 class TestStatic:
@@ -330,6 +349,28 @@ class TestFloquet:
         assert done.returncode == 2
         assert done.stderr.startswith("numerical failure: Floquet superoperator")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+    @pytest.mark.parametrize("command", ["floquet", "trace"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--model", "classical-dimer", "--gamma", "0.5", "--JT", "6.283185307179586"],
+            ["--model", "quantum-dimer", "--gamma", "0.5", "--JT", "1e-8"],
+            {"matrix": [[1, 0], [0, 1]]},
+        ],
+        ids=["classical-2pi", "quantum-1e-8", "identity-input"],
+    )
+    def test_propagator_near_one_reports_every_operator(self, tmp_path, command, source):
+        if isinstance(source, dict):
+            path = tmp_path / "h.json"
+            path.write_text(json.dumps(source))
+            source = ["--input", str(path)]
+        out = tmp_path / "out"
+        assert run([command, *source, "--out", str(out)]) == 0
+        if command == "floquet":
+            assert len(load_json(out / "floquet_report.json")["operators"]) == 4
+        else:
+            assert len(load_json(out / "trace_report.json")["labels"]) == 4
 
     def test_recursive_check_present(self, tmp_path):
         assert run(

@@ -251,6 +251,20 @@ class TestStroboscopicConserved:
 
 
 class TestFloquetEigenOperators:
+    @pytest.mark.parametrize("jt", [1e-12, 1e-10, 1e-8, np.pi, 2 * np.pi, 4 * np.pi])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("model", [Model.QUANTUM, Model.CLASSICAL])
+    def test_propagator_near_one_keeps_every_operator(self, model, gamma, jt):
+        """Where gf^T kron gf^dag - 1 is rounding noise its null space is the whole space."""
+        waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
+        gf = fl.propagator(build_schedule(model, DimerParams(J=1.0, gamma=gamma, T=jt, waveform=waveform))).gf
+        assert len(fl.floquet_eigen_operators(gf)) == 4
+
+    def test_phase_times_identity_conserves_everything(self):
+        ops = fl.floquet_eigen_operators(np.exp(0.3j) * np.eye(4))
+        assert len(ops) == 16
+        assert all(e.rate == 1.0 for e in ops)
+
     def test_multiplier_multiset(self):
         from test_liouville import match_spectra
 
@@ -431,6 +445,107 @@ class TestEvolveTrace:
         sched = quantum_dimer(fig1_params())
         with pytest.raises(ValueError):
             fl.evolve_trace(sched, np.zeros(2), [SIGMA_X])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        kicks=st.lists(st.booleans(), min_size=2, max_size=4),
+        quarters=st.booleans(),
+        steps=st.one_of(st.integers(1, 12), st.integers(13, 200)),
+        periods=st.integers(1, 6),
+        zero_eta=st.booleans(),
+    )
+    def test_matches_per_sample_loop_bit_for_bit(self, n, seed, kicks, quarters, steps, periods, zero_eta):
+        """Kicks may come before, between and after 1-3 segments; with durations
+        in quarters, samples can fall on segment ends and kick instants."""
+        rng = np.random.default_rng(seed)
+        events = []
+        for i, kick in enumerate(kicks):
+            if kick:
+                events.append(fl.Kick(0.3 * random_complex(rng, n, n)))
+            if i < len(kicks) - 1:
+                duration = rng.integers(1, 4) / 4 if quarters else rng.uniform(0.05, 1.0)
+                events.append(fl.Segment(duration, 0.5 * random_complex(rng, n, n)))
+        sched = fl.Schedule(dim=n, events=events)
+        psi0 = random_complex(rng, n)
+        etas = [random_complex(rng, n, n) for _ in range(rng.integers(1, 4))]
+        if zero_eta:
+            etas.append(np.zeros((n, n)))
+        got = fl.evolve_trace(sched, psi0, etas, steps_per_period=steps, periods=periods)
+        want = _per_sample_trace(sched, psi0, etas, steps, periods)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.stroboscopic_indices, want.stroboscopic_indices)
+        assert got.normalized == want.normalized
+
+    def test_one_stacked_exponential_per_segment(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return matexp(a)
+
+        sched = quantum_dimer(fig1_params())
+        monkeypatch.setattr(fl, "matexp", counting)
+        fl.evolve_trace(sched, PLUS_X, [ID2, SIGMA_X, SIGMA_Y, SIGMA_Z], steps_per_period=200, periods=200)
+        # two segments: one stack of partial propagators and one full factor each
+        assert len(calls) <= 4
+
+
+def _per_sample_trace(s, psi0, etas, steps_per_period, periods):
+    """The reference for ``evolve_trace``: one exponential per sample and one
+    vdot per operator and sample."""
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    etas = [np.asarray(e, dtype=complex) for e in etas]
+    t_samples = np.arange(steps_per_period) * (s.period / steps_per_period)
+    partials = np.empty((steps_per_period, s.dim, s.dim), dtype=complex)
+    acc = np.eye(s.dim, dtype=complex)
+    t = 0.0
+    k = 0
+    boundary_tol = 1e-12 * s.period
+    for ev in s.events:
+        if isinstance(ev, fl.Kick):
+            acc = ev.factor() @ acc
+            continue
+        end = t + ev.duration
+        while k < steps_per_period and t_samples[k] < end - boundary_tol:
+            partials[k] = matexp(-1j * (t_samples[k] - t) * ev.generator) @ acc
+            k += 1
+        acc = ev.factor() @ acc
+        t = end
+    while k < steps_per_period:  # samples at the trailing boundary
+        partials[k] = acc
+        k += 1
+    gf = acc
+
+    n_times = periods * steps_per_period + 1
+    times = np.arange(n_times) / steps_per_period
+    values = np.empty((len(etas), n_times), dtype=complex)
+    denoms = [np.vdot(psi0, e @ psi0) for e in etas]
+    norm_flags = [
+        bool(abs(d) > 1e-12 * hs_norm(e) * float(np.vdot(psi0, psi0).real))
+        for d, e in zip(denoms, etas)
+    ]
+    psi_m = psi0.copy()
+    for m in range(periods + 1):
+        block = range(steps_per_period) if m < periods else [0]
+        for j in block:
+            psi = partials[j] @ psi_m if (m < periods and j > 0) else psi_m
+            idx = m * steps_per_period + j
+            for a, e in enumerate(etas):
+                values[a, idx] = np.vdot(psi, e @ psi)
+        psi_m = gf @ psi_m
+    for a in range(len(etas)):
+        if norm_flags[a]:
+            values[a] /= denoms[a]
+    return fl.TraceSeries(
+        times=times,
+        values=values,
+        stroboscopic_indices=np.arange(periods + 1) * steps_per_period,
+        normalized=norm_flags,
+    )
 
 
 def _hs_projector(ops):

@@ -20,6 +20,8 @@ from intertwine import cli
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # a seeded N=4 PT-symmetric matrix, checked in as its own input file
 H4 = GOLDEN / "h4.json"
+# an N=3 schedule with kicks before, between and after its two segments
+KICKED3 = GOLDEN / "kicked3.json"
 STDOUT = "stdout.txt"
 
 
@@ -44,6 +46,13 @@ def _cases() -> dict[str, list[str]]:
         "scan", "--model", "quantum-dimer", "--grid", dense, "--J", "2"]
     cases["static-n4"] = ["static", "--input", str(H4)]
     cases["floquet-n4"] = ["floquet", "--input", str(H4), "--JT", "0.7"]
+    cases["trace-n4"] = [
+        "trace", "--input", str(H4), "--JT", "0.7", "--periods", "3", "--steps-per-period", "7",
+        "--format", "csv,json,gnuplot"]
+    # 5 steps per period: the sample at t = 0.4 T falls on the middle kick
+    cases["trace-kicked3"] = [
+        "trace", "--input", str(KICKED3), "--periods", "3", "--steps-per-period", "5",
+        "--format", "csv,json,gnuplot"]
     cases["verify"] = ["verify"]
     return cases
 
