@@ -44,11 +44,6 @@ class ConfigError(ValueError):
 # serialization helpers
 
 
-def _r(x) -> str:
-    """Shortest exact decimal representation of a float."""
-    return repr(float(x))
-
-
 def _require_finite(path: Path, values) -> None:
     """Refuse to write `path` when any of `values` is NaN or infinite."""
     if not np.all(np.isfinite(values)):
@@ -142,10 +137,12 @@ def parse_matrix(obj) -> np.ndarray:
 
 def parse_schedule(obj) -> fl.Schedule:
     try:
-        dim = int(obj["dim"])
-        raw_events = obj["events"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim, raw_events = obj["dim"], obj["events"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"schedule JSON needs an integer 'dim' and 'events': {exc}") from exc
+    # a JSON integer: not a number to truncate, a string to parse or a boolean (an int in Python)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ConfigError(f"schedule JSON 'dim' must be an integer, got {dim!r}")
     if not isinstance(raw_events, list):
         raise ConfigError("schedule JSON 'events' must be a list")
     events = []
@@ -545,17 +542,21 @@ def run_scan(args) -> int:
 
     phase, measure, values, failed = _scan_grid(sched, waveform, gammas, args.tol_eig)
 
-    failures = []
-    lines = ["gamma_over_j,jt,phase,kappa_ratio"]
-    for i, jt in enumerate(jts.tolist()):
-        for k, gj in enumerate(gammas.tolist()):
-            if failed[i, k]:
-                failures.append({"gamma_over_j": gj, "jt": jt, "error": failed[i, k]})
-                lines.append(f"{_r(gj)},{_r(jt)},error,nan")
-            else:
-                lines.append(f"{_r(gj)},{_r(jt)},{phase[i, k].value},{_r(measure[i, k])}")
+    ok = (failed == "").ravel()
+    failures = [{"gamma_over_j": float(gammas[k]), "jt": float(jts[i]), "error": failed[i, k]}
+                for i, k in np.argwhere(failed != "")]
     if "csv" in fmts:
-        (out / "scan_grid.csv").write_text("\n".join(lines) + "\n")
+        _write_table(
+            out / "scan_grid.csv",
+            "gamma_over_j,jt,phase,kappa_ratio",
+            [
+                np.tile(gammas, jts.size),
+                np.repeat(jts, gammas.size),
+                [p.value if good else "error" for p, good in zip(phase.ravel(), ok)],
+                # written with str, so a failed point's measure reads nan
+                np.where(ok, measure.ravel(), np.nan).tolist(),
+            ],
+        )
 
     def disc(gj, jt):
         if waveform is md.Waveform.STATIC:
@@ -568,7 +569,7 @@ def run_scan(args) -> int:
             return 1.0
         if waveform is md.Waveform.DELTA_KICKS and model is md.Model.CLASSICAL:
             try:
-                return md.classical_ep_gamma(jt, args.J)
+                return md.classical_ep_gamma(jt)
             except ValueError:
                 pass
         return None
@@ -576,10 +577,12 @@ def run_scan(args) -> int:
     contour = [(root, jt, analytic(jt))
                for root, jt in md.contour_roots(disc, gammas, values, jts, xtol=1e-10, floor=1e-9)]
     if "csv" in fmts:
-        clines = ["gamma_over_j,jt,analytic_gamma_over_j"]
-        for gj, jt, ana in contour:
-            clines.append(f"{_r(gj)},{_r(jt)},{'' if ana is None else _r(ana)}")
-        (out / "contour.csv").write_text("\n".join(clines) + "\n")
+        _write_table(
+            out / "contour.csv",
+            "gamma_over_j,jt,analytic_gamma_over_j",
+            [np.array([c[0] for c in contour]), np.array([c[1] for c in contour]),
+             ["" if ana is None else ana for _, _, ana in contour]],
+        )
     if "json" in fmts:
         _write_json(
             out / "scan_report.json",

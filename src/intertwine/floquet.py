@@ -28,7 +28,7 @@ from .liouville import (
     EigenOperator,
     PTPhase,
     classify_phase,
-    split_eigen_operators,
+    superoperator_eigen_operators,
 )
 
 
@@ -210,7 +210,7 @@ def floquet_eigen_operators(
     gf = as_matrix(gf)
     gmat = build_floquet_superoperator(gf)
     spectrum = eig(gmat, tol_eig)
-    conserved, others = split_eigen_operators(
+    conserved, others = superoperator_eigen_operators(
         gmat, spectrum, _sandwich(gf), 1.0, float(np.max(np.abs(spectrum.eigenvalues))), tol_rank
     )
     return conserved + others
@@ -226,10 +226,11 @@ class RecursiveCandidates:
     antisymmetrized_independent: bool
 
 
-def recursive_floquet(eta1, gf, tol: float = 1e-8) -> RecursiveCandidates:
+def recursive_floquet(eta1, gf) -> RecursiveCandidates:
     """Both recursion candidates, tagged for independence from eta1."""
     eta1 = as_matrix(eta1)
     gf = as_matrix(gf)
+    tol = 1e-8  # relative to the norms of eta1 and gf
     if hs_norm(_sandwich(gf)(eta1) - eta1) > tol * max(hs_norm(eta1), 1e-300) * hs_norm(gf) ** 2:
         raise ValueError("eta1 is not stroboscopically conserved under gf")
     sym = 0.5 * (eta1 @ gf + gf.conj().T @ eta1)

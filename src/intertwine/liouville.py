@@ -6,19 +6,17 @@ whose action on vec(eta) equals vec(-i(eta H - H^dag eta)).  Zero modes
 of L are conserved (intertwining) operators; the remaining eigenvectors
 are operators whose expectation values evolve as a single exponential.
 
-Away from exceptional points L is never formed: with H = V diag(e) V^-1
-and l_a the left eigenvectors of H (the rows of V^-1, conjugated), its N^2
-eigenvectors are the rank-1 operators l_b l_a^dag with rates
--i(e_a - conj(e_b)), so one N x N eigendecomposition gives them all.  The
-Kronecker matrix is kept as the test oracle and as the fallback at and
-near exceptional points, where V is (nearly) singular and those products
-do not span the operator space.  The eigen-operator core
-(``split_eigen_operators``: conserved operators from the SVD null space,
-the others from the eigenvectors) and the PT-phase test
-(``classify_phase``) serve both the Kronecker route (L, target
-eigenvalue 0) and the Floquet path (gf^T kron gf^dag, target 1).
-Operators travel as stacks (k, N, N) throughout; a superoperator's
-column-stacked eigenvectors and null-space columns are unstacked once.
+One split (``split_eigen_operators``) makes every route's operator
+stacks (k, N, N) into ``EigenOperator``s: a Hermitian basis of the
+target eigenspace, then the other eigen-operators.  Three routes feed it:
+* rank-1 (static): with H = V diag(e) V^-1 and l_a the left eigenvectors
+  of H (the rows of V^-1, conjugated), the N^2 eigenvectors of L are
+  l_b l_a^dag with rates -i(e_a - conj(e_b)), from one N x N eig;
+* Kronecker (static, at and near exceptional points, where V is nearly
+  singular and those products do not span the operator space; also the
+  test oracle): the eigenvectors and the SVD null space of L, target 0;
+* Floquet (``floquet.py``): the same for gf^T kron gf^dag, target 1.
+The PT-phase test (``classify_phase``) serves the static and Floquet paths.
 """
 
 from __future__ import annotations
@@ -101,11 +99,6 @@ def canonicalize_operators(ops) -> np.ndarray:
     column-major order) made real and positive.  Each operator comes out
     with the bits that canonicalizing it on its own gives.
     """
-    return _canonicalize(ops)[0]
-
-
-def _canonicalize(ops) -> tuple[np.ndarray, np.ndarray]:
-    """``canonicalize_operators``, and which operators were made Hermitian."""
     ops = as_matrix(ops, batched=True)
     # np.linalg.norm sums one matrix in memory order: sum column-stacked
     # operators (eigenvectors of a superoperator) by columns, as it does
@@ -113,9 +106,10 @@ def _canonicalize(ops) -> tuple[np.ndarray, np.ndarray]:
     if np.any(nrm == 0.0):
         raise ValueError("cannot canonicalize the zero operator")
     ops = ops / nrm[:, None, None]  # a fresh array, canonicalized in place below
-    # <op, op^dag> in the HS inner product, one BLAS dot per operator
+    # <op, op^dag> in the HS inner product, one BLAS dot per operator: an
+    # eigenvalue of the adjoint map, of modulus 1 exactly when op is Hermitian up to a phase
     c = np.array([np.vdot(op, op.conj().T) for op in ops])
-    herm = np.abs(np.hypot(c.real, c.imag) - 1.0) <= 1e-8
+    herm = np.abs(np.hypot(c.real, c.imag) - 1.0) <= TARGET_EIGENVALUE_REL_TOL
     if np.any(herm):
         h = ops[herm] * np.exp(0.5j * np.angle(c[herm]))[:, None, None]
         h = 0.5 * (h + h.conj().swapaxes(-1, -2))
@@ -129,7 +123,7 @@ def _canonicalize(ops) -> tuple[np.ndarray, np.ndarray]:
         v = g.swapaxes(-1, -2).reshape(len(g), -1)  # column-major entries
         piv = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
         ops[~herm] = g * (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None, None]
-    return ops, herm
+    return ops
 
 
 def build_liouvillian(h) -> np.ndarray:
@@ -217,47 +211,36 @@ def hermitize_basis(ops, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
     return basis
 
 
-def _build_operators(ops: np.ndarray, lams: np.ndarray, action, hermitian=None):
+def _build_operators(ops: np.ndarray, lams: np.ndarray, action):
     """EigenOperators of the stack ``ops`` (canonicalized here) with eigenvalues ``lams``.
 
-    The residual of each is ||action(op) - lambda op||; ``hermitian``
-    None flags the operators that come out Hermitian.  Also returns each
-    operator's Rayleigh quotient <op, action(op)>/<op, op>.
+    The residual of each is ||action(op) - lambda op||, and the operators
+    that come out Hermitian are flagged.  Also returns each operator's
+    Rayleigh quotient <op, action(op)>/<op, op>.
     """
     if len(ops) == 0:
         return [], np.zeros(0, dtype=complex)
-    ops, made_hermitian = _canonicalize(ops)
-    if hermitian is None:
-        hermitian = hs_norm(ops - ops.conj().swapaxes(-1, -2)) <= HERMITIAN_FLAG_TOL
-    else:
-        hermitian = np.full(len(ops), hermitian)
+    ops = canonicalize_operators(ops)
+    # exactly the operators that canonicalization made Hermitian: those come
+    # out exactly Hermitian, and a unit operator this close to its adjoint
+    # has |<op, op^dag>| within ~1e-20 of 1
+    hermitian = hs_norm(ops - ops.conj().swapaxes(-1, -2)) <= HERMITIAN_FLAG_TOL
     acted = action(ops)
     quotients = np.einsum("kij,kij->k", ops.conj(), acted) / np.einsum("kij,kij->k", ops.conj(), ops)
     acted -= lams[:, None, None] * ops
     residuals = hs_norm(acted)
-    # an operator made Hermitian is row-major, whatever the layout of the
-    # stack; products with it (as in evolve_trace) depend on that in the last bit
+    # a Hermitian operator is row-major, whatever the layout of the stack;
+    # products with it (as in evolve_trace) depend on that in the last bit
     found = [
         EigenOperator(
-            op=np.ascontiguousarray(op) if made else op,
+            op=np.ascontiguousarray(op) if herm else op,
             rate=complex(lam),
-            hermitian=bool(herm),
+            hermitian=herm,
             residual=float(res),
         )
-        for op, made, lam, herm, res in zip(
-            ops, made_hermitian.tolist(), lams.tolist(), hermitian.tolist(), residuals.tolist()
-        )
+        for op, lam, herm, res in zip(ops, lams.tolist(), hermitian.tolist(), residuals.tolist())
     ]
     return found, quotients
-
-
-def _hermitian_operators(ops, action, mu: complex, tol_rank: float):
-    """Hermitian orthonormal basis of the eigenvalue-mu eigenspace spanned by the stack ``ops``.
-
-    Returns the operators and their Rayleigh quotients.
-    """
-    basis = hermitize_basis(ops, tol_rank)
-    return _build_operators(np.array(basis), np.full(len(basis), complex(mu)), action, True)
 
 
 def _unvec_rows(rows: np.ndarray) -> np.ndarray:
@@ -266,44 +249,45 @@ def _unvec_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, n, n).swapaxes(-1, -2)
 
 
-def _by_distance(lams: np.ndarray, mu: complex) -> np.ndarray:
-    """Indices that order ``lams`` by (|lambda - mu|, arg lambda, |lambda|), ties kept in order."""
+def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex, scale: float, tol_rank: float):
+    """Eigen-operators of a superoperator S with eigenvalues ``lams``: (conserved, others, quotients).
+
+    ``operators(idx)`` builds the stack (k, N, N) of the eigen-operators
+    with eigenvalues lams[idx].  Those with |lambda - mu| <=
+    TARGET_EIGENVALUE_REL_TOL * scale belong to mu, and ``span(idx)``,
+    given their indices, builds a stack spanning the eigenspace of mu; the
+    conserved operators are a Hermitian orthonormal basis of it, with
+    eigenvalue mu.  The others are the remaining eigenpairs, sorted by
+    (|lambda - mu|, arg lambda, |lambda|).  ``action(ops)`` applies S to a
+    stack of operators.  The Rayleigh quotients <op, S op>/<op, op> of all
+    operators come conserved first.
+    """
+    far = np.abs(lams - mu) > TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
+    basis = np.array(hermitize_basis(span(np.flatnonzero(~far)), tol_rank))
+    conserved, q_conserved = _build_operators(basis, np.full(len(basis), complex(mu)), action)
     vals = lams.tolist()
-    order = sorted(range(len(vals)), key=lambda i: (abs(vals[i] - mu), np.angle(vals[i]), abs(vals[i])))
-    return np.array(order, dtype=int)
+    keep = sorted(np.flatnonzero(far).tolist(), key=lambda i: (abs(vals[i] - mu), np.angle(vals[i]), abs(vals[i])))
+    keep = np.array(keep, dtype=int)  # ties kept in order
+    others, q_others = _build_operators(operators(keep), lams[keep], action)
+    return conserved, others, np.concatenate([q_conserved, q_others])
 
 
-def split_eigen_operators(
+def superoperator_eigen_operators(
     smat, spectrum: Spectrum, action, mu: complex, scale: float, tol_rank: float
 ) -> tuple[list[EigenOperator], list[EigenOperator]]:
     """Eigen-operators of S (eigendecomposed in ``spectrum``), split into (conserved, others).
 
-    The conserved ones are a Hermitian orthonormal basis of the SVD null
-    space of S - mu 1 (singular values up to tol_rank * scale), which
-    stays robust at and near exceptional points where S is defective.
-    The others are the eigenpairs with
-    |lambda - mu| > TARGET_EIGENVALUE_REL_TOL * scale, sorted by
-    (|lambda - mu|, arg lambda, |lambda|).  ``action(ops)`` applies S to
-    a stack of operators; S acts on column-stacked operators.
+    S acts on column-stacked operators.  The eigenspace of mu is spanned by
+    the SVD null space of S - mu 1 (singular values up to tol_rank *
+    scale), which stays robust at and near exceptional points, where S is
+    defective and its eigenvectors do not span that space.
     """
-    basis = null_space(smat - mu * np.eye(smat.shape[0]), tol_rank, scale)
-    conserved, _ = _hermitian_operators(_unvec_rows(basis.T), action, mu, tol_rank)
-    tol = TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
-    lams = spectrum.eigenvalues
-    keep = np.flatnonzero([abs(lam - mu) > tol for lam in lams.tolist()])
-    keep = keep[_by_distance(lams[keep], mu)]
-    others, _ = _build_operators(_unvec_rows(spectrum.eigenvectors.T[keep]), lams[keep], action)
-    return conserved, others
-
-
-def _kronecker_route(h, spectrum: Spectrum, tol_eig: float, tol_rank: float) -> LiouvillianResult:
-    lmat = build_liouvillian(h)
-    lspec = eig(lmat, tol_eig)
-    conserved, transient = split_eigen_operators(
-        lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
+    null = _unvec_rows(null_space(smat - mu * np.eye(smat.shape[0]), tol_rank, scale).T)
+    conserved, others, _ = split_eigen_operators(
+        lambda near: null, lambda idx: _unvec_rows(spectrum.eigenvectors.T[idx]),
+        spectrum.eigenvalues, action, mu, scale, tol_rank,
     )
-    phase = _hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
-    return LiouvillianResult(lspec.eigenvalues, conserved, transient, spectrum, phase, "kronecker")
+    return conserved, others
 
 
 def kronecker_eigen_operators(
@@ -317,7 +301,14 @@ def kronecker_eigen_operators(
     tested against, and its fallback at and near exceptional points.
     """
     h = as_matrix(h)
-    return _kronecker_route(h, eig(h, tol_eig), tol_eig, tol_rank)
+    spectrum = eig(h, tol_eig)
+    lmat = build_liouvillian(h)
+    lspec = eig(lmat, tol_eig)
+    conserved, transient = superoperator_eigen_operators(
+        lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
+    )
+    phase = _hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
+    return LiouvillianResult(lspec.eigenvalues, conserved, transient, spectrum, phase, "kronecker")
 
 
 def eigen_operators(
@@ -329,7 +320,7 @@ def eigen_operators(
 
     With H = V diag(e) V^-1 the operators are the rank-1 products
     l_b l_a^dag of the left eigenvectors (l_a^dag the rows of V^-1), with
-    rates -i(e_a - conj(e_b)).  The pairs with |e_a - conj(e_b)| <=
+    rates -i(e_a - conj(e_b)).  Those with |e_a - conj(e_b)| <=
     TARGET_EIGENVALUE_REL_TOL * ||L||_F span the conserved operators,
     which are Hermitized together; the others are the transient ones,
     sorted by (|rate|, arg rate).  At and near an exceptional
@@ -340,24 +331,19 @@ def eigen_operators(
     spectrum = eig(h, tol_eig)
     v = spectrum.eigenvectors
     if np.linalg.cond(v) > 1.0 / np.sqrt(tol_rank):  # cond(V)^2 > 1/tol_rank
-        return _kronecker_route(h, spectrum, tol_eig, tol_rank)
+        return kronecker_eigen_operators(h, tol_eig, tol_rank)
     w = np.linalg.inv(v)  # row a: w_a H = e_a w_a
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
-    rates = pair_rates(spectrum.eigenvalues)
-    lnorm = liouvillian_norm(h)
-    zero = np.abs(rates) <= TARGET_EIGENVALUE_REL_TOL * max(lnorm, 1e-300)
-    a, b = np.divmod(np.arange(rates.size), h.shape[0])  # pair (a, b) at index a*N + b
+    a, b = np.divmod(np.arange(h.shape[0] ** 2), h.shape[0])  # pair (a, b) at index a*N + b
 
     def products(pairs):
         """The unit operators l_b l_a^dag, entry (i, j) = conj(w[b, i]) w[a, j]."""
         return w.conj()[b[pairs], :, None] * w[a[pairs], None, :]
 
-    action = partial(apply_liouvillian, h)
-    conserved, q_conserved = _hermitian_operators(products(zero), action, 0.0, tol_rank)
-    moving = np.flatnonzero(~zero)
-    moving = moving[_by_distance(rates[moving], 0.0)]
-    transient, q_transient = _build_operators(products(moving), rates[moving], action)
-    quotients = np.concatenate([q_conserved, q_transient])
+    conserved, transient, quotients = split_eigen_operators(
+        products, products, pair_rates(spectrum.eigenvalues), partial(apply_liouvillian, h),
+        0.0, liouvillian_norm(h), tol_rank,
+    )
     phase = _hamiltonian_phase(h, spectrum.eigenvalues, v, tol_eig)
     return LiouvillianResult(quotients, conserved, transient, spectrum, phase, "rank-1")
 

@@ -368,25 +368,17 @@ def ep_contour(
     model: Model,
     jt_values,
     gamma_bracket: tuple[float, float] = (1e-6, 4.0),
-    J: float = 1.0,
     tol: float = 1e-10,
-    use_numerical: bool = False,
 ) -> list[tuple[float, float]]:
-    """EP contour points (gamma/J, JT) by Brent's method on the discriminant, all JT at once.
+    """EP contour points (gamma/J, JT) by Brent's method on the numerical discriminant, all JT at once.
 
     Raises when the bracket shows no sign change for some row.
     """
     waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
     jts = np.asarray(jt_values, dtype=float)
 
-    def disc(gamma_over_j, jt):
-        if use_numerical:
-            return numerical_discriminant(
-                model, DimerParams(J=J, gamma=gamma_over_j * J, T=jt / J, waveform=waveform))
-        return np.array([
-            analytic_discriminant(model, DimerParams(J=J, gamma=g * J, T=t / J, waveform=waveform))
-            for g, t in zip(gamma_over_j.tolist(), jt.tolist())
-        ])
+    def disc(gamma_over_j, jt):  # at J = 1
+        return numerical_discriminant(model, DimerParams(gamma=gamma_over_j, T=jt, waveform=waveform))
 
     lo, hi = (np.full(jts.size, float(g)) for g in gamma_bracket)
     flo, fhi = np.split(disc(np.concatenate([lo, hi]), np.tile(jts, 2)), 2)
@@ -397,7 +389,7 @@ def ep_contour(
     return list(zip(roots.tolist(), jts.tolist()))
 
 
-def classical_ep_gamma(jt: float, J: float = 1.0) -> float:
+def classical_ep_gamma(jt: float) -> float:
     """Analytic classical contour gamma/J from cos(JT/2) = tanh(gamma T)."""
     c = np.cos(jt / 2)
     if not 0.0 < c < 1.0:

@@ -223,7 +223,7 @@ def check_time_shift(tols) -> CheckResult:
 
 def check_classical_ep_contour(tols) -> CheckResult:
     worst = 0.0
-    points = md.ep_contour(md.Model.CLASSICAL, np.linspace(0.6, 2.4, 5), (1e-6, 6.0), tol=1e-12, use_numerical=True)
+    points = md.ep_contour(md.Model.CLASSICAL, np.linspace(0.6, 2.4, 5), (1e-6, 6.0), tol=1e-12)
     for root, jt in points:
         worst = max(worst, abs(root * jt - np.arctanh(np.cos(jt / 2))))
     return CheckResult.from_measure(

@@ -199,7 +199,7 @@ def test_06_static_intertwiner_identities():
 
 def test_07_ep_contours():
     jts = np.linspace(0.8, 2.9, 10)
-    points = md.ep_contour(md.Model.CLASSICAL, jts, use_numerical=True)
+    points = md.ep_contour(md.Model.CLASSICAL, jts)
     assert len(points) == 10
     for gj, jt in points:
         assert abs(gj * jt - np.arctanh(np.cos(jt / 2))) < 1e-6

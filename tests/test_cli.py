@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from intertwine.linalg import DEFAULT_TOL_EIG, NumericalError
 
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args, capsys=None):
@@ -156,11 +158,15 @@ class TestConfigErrors:
             ("static", [], None),
             ("floquet", [], {"matrix": [1, 2]}),
             ("floquet", [], {"matrix": [[["a", 1]]]}),
+            # a dim that int() would truncate or accept runs as another N
+            ("floquet", [], {"dim": 2.9, "events": [{"segment": {"duration": 1.0, "h": [[0, 1], [1, 0]]}}]}),
+            ("floquet", [], {"dim": True, "events": [{"segment": {"duration": 1.0, "h": [[1]]}}]}),
+            ("floquet", [], {"dim": "2", "events": [{"segment": {"duration": 1.0, "h": [[0, 1], [1, 0]]}}]}),
         ],
         ids=["negative-JT", "zero-JT", "nan-JT", "inf-JT", "negative-segment", "nan-segment",
              "dim-not-integer", "events-not-list", "event-not-object", "segment-not-object",
              "kick-not-object", "top-level-number", "top-level-null", "matrix-row-not-list",
-             "entry-not-numbers"],
+             "entry-not-numbers", "dim-float", "dim-boolean", "dim-string"],
     )
     def test_invalid_input_schedule_exits_1(self, tmp_path, capsys, command, extra, source):
         path = tmp_path / "input.json"
@@ -591,7 +597,7 @@ def per_point_scan_tables(model, waveform, gammas, jts, J, tol_eig=DEFAULT_TOL_E
             if static:
                 analytic = repr(1.0)
             elif model is md.Model.CLASSICAL and 0.0 < np.cos(jt / 2) < 1.0:
-                analytic = repr(md.classical_ep_gamma(jt, J))
+                analytic = repr(md.classical_ep_gamma(jt))
             contour.append(f"{float(root)!r},{float(jt)!r},{analytic}")
     return "\n".join(grid) + "\n", "\n".join(contour) + "\n", failures
 
@@ -770,6 +776,27 @@ class TestOutputBytes:
         assert (tmp_path / "trace.csv").read_text() == csv
         for label, text in dat.items():
             assert (tmp_path / f"trace_{label}.dat").read_text() == text
+
+
+def readme_commands():
+    """The argument lists of the `intertwine ...` lines in README.md's sh block under "Command line"."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line) for line in block.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in lines if argv[:1] == ["intertwine"]]
+
+
+class TestReadme:
+    def test_every_command_has_an_example(self):
+        assert sorted(argv[0] for argv in readme_commands()) == ["floquet", "scan", "static", "trace", "verify"]
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_command_line_example_runs(self, tmp_path, argv):
+        argv = list(argv)
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert run(argv) == 0
 
 
 class TestStartup:

@@ -323,6 +323,37 @@ def canonicalize_one(op):
     return op * (np.conj(v[i]) / abs(v[i]))
 
 
+class TestOperatorLayout:
+    """The memory layouts that the written bytes depend on, on all three routes into the one split."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_hermitian_operators_are_exact_and_row_major(self, n):
+        from intertwine.floquet import floquet_eigen_operators
+
+        rng = np.random.default_rng(100 + n)
+        h = random_pt_symmetric(rng, n)
+        rank1 = lv.eigen_operators(h)
+        assert rank1.path == "rank-1"
+        kron = lv.kronecker_eigen_operators(h)
+        routes = {
+            "rank-1": rank1.conserved + rank1.transient,
+            "kronecker": kron.conserved + kron.transient,
+            # a PT-symmetric drive (unit multipliers) and a generic non-unitary gf
+            "floquet": floquet_eigen_operators(matexp(-0.7j * h))
+            + floquet_eigen_operators(random_complex(rng, n, n) / n),
+        }
+        for route, ops in routes.items():
+            herm = [e.op for e in ops if e.hermitian]
+            other = [e.op for e in ops if not e.hermitian]
+            assert herm and other
+            for op in herm:
+                assert op.flags.c_contiguous
+                assert np.array_equal(op, op.conj().T)
+            if route != "rank-1":
+                # column-stacked eigenvectors of the superoperator, unstacked
+                assert all(op.flags.f_contiguous and not op.flags.c_contiguous for op in other)
+
+
 class TestVerifyIntertwining:
     def test_parity_is_intertwiner(self):
         assert lv.verify_intertwining(SIGMA_X, quantum_hamiltonian(1.0, 0.5)) < 1e-14

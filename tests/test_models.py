@@ -183,9 +183,13 @@ class TestEPContour:
 
     def test_numerical_and_analytic_discriminants_agree(self):
         jt = 1.3
-        got_num = md.ep_contour(md.Model.CLASSICAL, [jt], use_numerical=True)
-        got_ana = md.ep_contour(md.Model.CLASSICAL, [jt])
-        assert got_num[0][0] == pytest.approx(got_ana[0][0], abs=1e-8)
+        [(got, _)] = md.ep_contour(md.Model.CLASSICAL, [jt])
+
+        def analytic(gj):
+            p = md.DimerParams(gamma=gj, T=jt, waveform=md.Waveform.DELTA_KICKS)
+            return md.analytic_discriminant(md.Model.CLASSICAL, p)
+
+        assert got == pytest.approx(brentq(analytic, 1e-6, 4.0, xtol=1e-10), abs=1e-8)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError):
@@ -355,7 +359,7 @@ class TestEvaluationCount:
 
         monkeypatch.setattr(md, "numerical_discriminant", counting)
         jts = np.linspace(0.6, 2.4, 5)
-        got = md.ep_contour(md.Model.CLASSICAL, jts, (1e-6, 6.0), tol=1e-12, use_numerical=True)
+        got = md.ep_contour(md.Model.CLASSICAL, jts, (1e-6, 6.0), tol=1e-12)
         assert len(calls) <= 20
         assert calls[0] == 2 * jts.size  # every bracket end in one call
         # the same bits as one brentq call per JT on the scalar discriminant
