@@ -132,7 +132,10 @@ def parse_matrix(obj) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {m.shape}")
-    return as_matrix(m)
+    try:
+        return as_matrix(m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_schedule(obj) -> fl.Schedule:
@@ -232,12 +235,6 @@ def _waveform_from_args(args, default: md.Waveform) -> md.Waveform:
     return names[args.waveform]
 
 
-def _default_waveform(model: md.Model, periodic: bool) -> md.Waveform:
-    if not periodic:
-        return md.Waveform.STATIC
-    return md.Waveform.SQUARE_WAVE if model is md.Model.QUANTUM else md.Waveform.DELTA_KICKS
-
-
 def _dimer_schedule(args, model: md.Model, waveform: md.Waveform, gamma_over_j, jt) -> fl.Schedule:
     """The dimer's schedule at --J and the dimensionless gamma/J and JT."""
     if not 0.0 < args.J < np.inf:
@@ -265,7 +262,7 @@ def resolve_schedule(args, periodic: bool) -> fl.Schedule:
                 raise ConfigError(f"--JT {args.JT!r}: {exc}") from exc
         return parse_schedule(obj)
     model = _model_from_args(args)
-    waveform = _waveform_from_args(args, _default_waveform(model, periodic))
+    waveform = _waveform_from_args(args, model.periodic_waveform if periodic else md.Waveform.STATIC)
     return _dimer_schedule(args, model, waveform, args.gamma, args.JT)
 
 
@@ -289,7 +286,10 @@ def _load_json(path: str):
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
     return out
 
 
@@ -352,11 +352,6 @@ def run_static(args) -> int:
     return 0
 
 
-def _floquet_operators(sched: fl.Schedule, args) -> tuple[fl.FloquetPropagator, list]:
-    fp = fl.propagator(sched, args.tol_eig)
-    return fp, fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
-
-
 def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, args) -> dict:
     recursion = None
     # conserved operators come first, with multiplier exactly 1; no other has it
@@ -383,7 +378,8 @@ def run_floquet(args) -> int:
     sched = resolve_schedule(args, periodic=True)
     fmts = _formats(args)
     out = _outdir(args)
-    fp, ops = _floquet_operators(sched, args)
+    fp = fl.propagator(sched, args.tol_eig)
+    ops = fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
     if "json" in fmts:
         _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops, args))
     if "csv" in fmts:
@@ -411,7 +407,7 @@ def run_trace(args) -> int:
     if psi0.size != sched.dim:
         raise ConfigError(f"psi0 has {psi0.size} entries, expected {sched.dim}")
     out = _outdir(args)
-    _, ops = _floquet_operators(sched, args)
+    ops = fl.floquet_eigen_operators(fl.compose(sched), args.tol_eig, args.tol_rank)
     series = fl.evolve_trace(
         sched, psi0, [e.op for e in ops], steps_per_period=args.steps_per_period, periods=args.periods
     )
@@ -507,8 +503,9 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, to
     with np.errstate(over="ignore", invalid="ignore"):
         if waveform is md.Waveform.STATIC:
             h = sched.events[0].generator
-            phase = lv.classify_pt_phase(h, tol_eig)
-            measure = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1)
+            w, v = np.linalg.eig(h)
+            phase = lv.hamiltonian_phase(h, w, v, tol_eig)
+            measure = np.max(np.abs(w.imag), axis=-1)
             # both builtin static dimers break PT at gamma = J
             values = 1.0 - gammas * gammas
             failed = np.full(shape, "", dtype=object)
@@ -533,7 +530,7 @@ def run_scan(args) -> int:
     if args.model is None:
         raise ConfigError("scan mode requires --model")
     model = _model_from_args(args)
-    waveform = _waveform_from_args(args, _default_waveform(model, periodic=True))
+    waveform = _waveform_from_args(args, model.periodic_waveform)
     gammas, jts = parse_grid(args.grid)
     # one batched schedule, axes (jt, gamma); building it validates every point
     sched = _dimer_schedule(args, model, waveform, gammas, jts[:, None])

@@ -286,12 +286,10 @@ def time_shift(s: Schedule, t0: float, tol: float = 1e-9):
         raise ValueError("time_shift needs a schedule without batch axes")
     if not 0.0 <= t0 < s.period:
         raise ValueError(f"t0 must lie in [0, period), got {t0}")
-    if t0 == 0.0:
+    if t0 <= 1e-12 * s.period:  # within _split_events' boundary tolerance: no segment time before t0
         return np.eye(s.dim, dtype=complex), s
     before, after = _split_events(s, t0)
-    smat = np.eye(s.dim, dtype=complex)
-    for ev in before:
-        smat = ev.factor() @ smat
+    smat = compose(Schedule(dim=s.dim, events=before))
     shifted = Schedule(dim=s.dim, events=after + before)
     gf = compose(s)
     expected = smat @ gf @ np.linalg.inv(smat)

@@ -42,7 +42,6 @@ from .linalg import (
 # a superoperator eigenvalue lambda with |lambda - mu| <= this times the
 # path's scale belongs to the conserved (target mu) eigenspace
 TARGET_EIGENVALUE_REL_TOL = 1e-8
-HERMITIAN_FLAG_TOL = 1e-10
 
 
 class PTPhase(enum.Enum):
@@ -221,10 +220,9 @@ def _build_operators(ops: np.ndarray, lams: np.ndarray, action):
     if len(ops) == 0:
         return [], np.zeros(0, dtype=complex)
     ops = canonicalize_operators(ops)
-    # exactly the operators that canonicalization made Hermitian: those come
-    # out exactly Hermitian, and a unit operator this close to its adjoint
-    # has |<op, op^dag>| within ~1e-20 of 1
-    hermitian = hs_norm(ops - ops.conj().swapaxes(-1, -2)) <= HERMITIAN_FLAG_TOL
+    # canonicalization makes an operator exactly Hermitian or leaves it
+    # at least 1e-4 away from its adjoint
+    hermitian = (ops == ops.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
     acted = action(ops)
     quotients = np.einsum("kij,kij->k", ops.conj(), acted) / np.einsum("kij,kij->k", ops.conj(), ops)
     acted -= lams[:, None, None] * ops
@@ -307,7 +305,7 @@ def kronecker_eigen_operators(
     conserved, transient = superoperator_eigen_operators(
         lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
     )
-    phase = _hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
+    phase = hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
     return LiouvillianResult(lspec.eigenvalues, conserved, transient, spectrum, phase, "kronecker")
 
 
@@ -344,7 +342,7 @@ def eigen_operators(
         products, products, pair_rates(spectrum.eigenvalues), partial(apply_liouvillian, h),
         0.0, liouvillian_norm(h), tol_rank,
     )
-    phase = _hamiltonian_phase(h, spectrum.eigenvalues, v, tol_eig)
+    phase = hamiltonian_phase(h, spectrum.eigenvalues, v, tol_eig)
     return LiouvillianResult(quotients, conserved, transient, spectrum, phase, "rank-1")
 
 
@@ -404,10 +402,10 @@ def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
     if h.shape[-2] != h.shape[-1]:
         raise ValueError("Hamiltonian must be square")
     w, v = np.linalg.eig(h)
-    return _hamiltonian_phase(h, w, v, tol)
+    return hamiltonian_phase(h, w, v, tol)
 
 
-def _hamiltonian_phase(h, w, v, tol: float):
+def hamiltonian_phase(h, w, v, tol: float):
     """PT phase of H (or a stack) from its eigenvalues ``w`` and eigenvectors ``v``."""
     return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), scaled_hs_norm(h), tol)
 

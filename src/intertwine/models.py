@@ -36,6 +36,11 @@ class Model(enum.Enum):
     QUANTUM = "quantum-dimer"
     CLASSICAL = "classical-dimer"
 
+    @property
+    def periodic_waveform(self) -> Waveform:
+        """The model's time-periodic drive: a square wave (quantum) or delta kicks (classical)."""
+        return Waveform.SQUARE_WAVE if self is Model.QUANTUM else Waveform.DELTA_KICKS
+
 
 class Waveform(enum.Enum):
     STATIC = "static"
@@ -342,16 +347,18 @@ def contour_roots(disc, gammas, values, jts, xtol: float, floor: float = -np.inf
     ``values[i, k]`` is disc(gammas[k], jts[i]), known from the caller's
     own evaluation of the grid; NaN marks a point that could not be
     evaluated.  ``disc`` takes arrays of gamma and JT of one shape.  An
-    interval is skipped when its left value is 0, when its two values
-    have the same sign or one is NaN, and when Brent's method finds no
-    root on [max(left end, floor), right end].  All intervals are refined
-    together by ``brent_roots``; the left ends below ``floor`` are
-    evaluated in one call.
+    interval is skipped when its two values have the same sign or one is
+    NaN, when its left value is 0 and it is not the first interval (that
+    zero is the root of the interval before it), and when Brent's method
+    finds no root on [max(left end, floor), right end].  All intervals
+    are refined together by ``brent_roots``; the left ends below
+    ``floor`` are evaluated in one call.
     """
     gammas, values, jts = (np.asarray(x, dtype=float) for x in (gammas, values, jts))
     left, right = values[:, :-1], values[:, 1:]
+    first = np.arange(left.shape[1]) == 0
     with np.errstate(invalid="ignore"):
-        crossing = (gammas[:-1] != gammas[1:]) & (left != 0.0) & (left * right <= 0)
+        crossing = (gammas[:-1] != gammas[1:]) & ((left != 0.0) | first) & (left * right <= 0)
     rows, ks = np.nonzero(crossing)
     lo = np.maximum(gammas[ks], floor)
     flo = left[rows, ks]
@@ -372,21 +379,23 @@ def ep_contour(
 ) -> list[tuple[float, float]]:
     """EP contour points (gamma/J, JT) by Brent's method on the numerical discriminant, all JT at once.
 
-    Raises when the bracket shows no sign change for some row.
+    The bracket is a two-point grid for ``contour_roots``.  Raises when
+    the bracket shows no sign change for some row.
     """
-    waveform = Waveform.SQUARE_WAVE if model is Model.QUANTUM else Waveform.DELTA_KICKS
     jts = np.asarray(jt_values, dtype=float)
+    gammas = np.asarray(gamma_bracket, dtype=float)
 
     def disc(gamma_over_j, jt):  # at J = 1
-        return numerical_discriminant(model, DimerParams(gamma=gamma_over_j, T=jt, waveform=waveform))
+        p = DimerParams(gamma=gamma_over_j, T=jt, waveform=model.periodic_waveform)
+        return numerical_discriminant(model, p)
 
-    lo, hi = (np.full(jts.size, float(g)) for g in gamma_bracket)
-    flo, fhi = np.split(disc(np.concatenate([lo, hi]), np.tile(jts, 2)), 2)
-    roots = brent_roots(lambda x, lanes: disc(x, jts[lanes]), lo, hi, flo, fhi, tol)
-    for root, jt in zip(roots, jts.tolist()):
-        if np.isnan(root):
+    values = disc(np.broadcast_to(gammas, (jts.size, 2)), jts[:, None])
+    points = contour_roots(disc, gammas, values, jts, tol)
+    found = {jt for _, jt in points}
+    for jt in jts.tolist():
+        if jt not in found:
             raise ValueError(f"no sign change in gamma bracket {gamma_bracket} at JT={jt}")
-    return list(zip(roots.tolist(), jts.tolist()))
+    return points
 
 
 def classical_ep_gamma(jt: float) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pt_symmetric
-from intertwine import cli
+from intertwine import cli, linalg, selfcheck
 from intertwine import floquet as fl
 from intertwine import liouville as lv
 from intertwine import models as md
@@ -162,11 +162,16 @@ class TestConfigErrors:
             ("floquet", [], {"dim": 2.9, "events": [{"segment": {"duration": 1.0, "h": [[0, 1], [1, 0]]}}]}),
             ("floquet", [], {"dim": True, "events": [{"segment": {"duration": 1.0, "h": [[1]]}}]}),
             ("floquet", [], {"dim": "2", "events": [{"segment": {"duration": 1.0, "h": [[0, 1], [1, 0]]}}]}),
+            # json.dumps writes these as NaN and Infinity, which json.load reads back
+            ("static", [], {"matrix": [[float("nan"), 0], [0, 1]]}),
+            ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": 1.0, "h": [[0, 1], [1, 0]]}},
+                                                  {"kick": {"k": [[float("inf"), 0], [0, 0]]}}]}),
         ],
         ids=["negative-JT", "zero-JT", "nan-JT", "inf-JT", "negative-segment", "nan-segment",
              "dim-not-integer", "events-not-list", "event-not-object", "segment-not-object",
              "kick-not-object", "top-level-number", "top-level-null", "matrix-row-not-list",
-             "entry-not-numbers", "dim-float", "dim-boolean", "dim-string"],
+             "entry-not-numbers", "dim-float", "dim-boolean", "dim-string", "matrix-nan",
+             "kick-infinite"],
     )
     def test_invalid_input_schedule_exits_1(self, tmp_path, capsys, command, extra, source):
         path = tmp_path / "input.json"
@@ -176,6 +181,22 @@ class TestConfigErrors:
         assert code == 1
         assert captured.err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("argv", [
+        ["static", "--model", "quantum-dimer"],
+        ["floquet", "--model", "quantum-dimer"],
+        ["trace", "--model", "quantum-dimer", "--periods", "1", "--steps-per-period", "2"],
+        ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0.5:1:2"],
+    ], ids=lambda argv: argv[0])
+    def test_out_at_a_file_exits_1(self, tmp_path, capsys, argv, under):
+        existing = tmp_path / "existing"
+        existing.write_text("keep\n")
+        out = existing / "sub" if under else existing
+        code, captured = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert existing.read_text() == "keep\n"
 
     def test_unknown_format_exits_1(self, tmp_path):
         assert run(
@@ -435,6 +456,21 @@ class TestTrace:
                     assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
 
+    def test_one_eigensolve_on_the_superoperator(self, tmp_path, monkeypatch):
+        shapes = []
+        original = linalg.eig
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        for module in (cli, fl, lv, md, selfcheck):
+            if getattr(module, "eig", None) is original:
+                monkeypatch.setattr(module, "eig", counting)
+        assert run(["trace", "--model", "classical-dimer", "--periods", "2", "--steps-per-period", "4",
+                    "--out", str(tmp_path)]) == 0
+        assert shapes == [(4, 4)]
+
     def test_overflowing_trace_exits_2(self, tmp_path):
         # max|lambda|^100 overflows double range in the PT-broken phase
         assert run(
@@ -468,6 +504,12 @@ class TestScan:
             ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0.5:1:2", "--out", str(quantum)]
         ) == 0
         assert len((quantum / "scan_grid.csv").read_text().splitlines()) == 1 + 3 * 2
+
+    def test_zero_at_the_first_grid_point_is_a_contour_point(self, tmp_path):
+        # the static discriminant 1 - (gamma/J)^2 is exactly 0 at the grid's first gamma/J
+        assert run(["scan", "--model", "quantum-dimer", "--waveform", "static",
+                    "--grid", "1:2:3,0.5:1:2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "contour.csv").read_text().splitlines()[1:] == ["1.0,0.5,1.0", "1.0,1.0,1.0"]
 
     def test_requires_model(self, tmp_path):
         assert run(["scan", "--grid", "0:1:3,0.5:1:2", "--out", str(tmp_path)]) == 1
@@ -789,6 +831,12 @@ def readme_commands():
 class TestReadme:
     def test_every_command_has_an_example(self):
         assert sorted(argv[0] for argv in readme_commands()) == ["floquet", "scan", "static", "trace", "verify"]
+
+    def test_python_example_runs(self, capsys):
+        block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, str(README), "exec"), {})
+        # the quantum dimer's two conserved operators, both Hermitian
+        assert capsys.readouterr().out.count(" True ") == 2
 
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_command_line_example_runs(self, tmp_path, argv):

@@ -366,9 +366,11 @@ class TestRecursiveFloquet:
 class TestTimeShift:
     def test_zero_shift(self):
         sched = quantum_dimer(fig1_params())
-        smat, shifted = fl.time_shift(sched, 0.0)
-        assert np.array_equal(smat, np.eye(2, dtype=complex))
-        assert shifted is sched
+        # a shift within 1e-12 of the period is no shift
+        for t0 in (0.0, 1e-14):
+            smat, shifted = fl.time_shift(sched, t0)
+            assert np.array_equal(smat, np.eye(2, dtype=complex))
+            assert shifted is sched
 
     def test_half_period_shift(self):
         p = fig1_params()

@@ -195,6 +195,11 @@ class TestEPContour:
         with pytest.raises(ValueError):
             md.ep_contour(md.Model.CLASSICAL, [1.0], gamma_bracket=(0.01, 0.02))
 
+    def test_zero_at_lower_bracket_end_is_the_root(self, monkeypatch):
+        # a stand-in discriminant that is exactly 0 at gamma/J = 0.5
+        monkeypatch.setattr(md, "numerical_discriminant", lambda model, p: p.gamma - 0.5 + 0.0 * p.T)
+        assert md.ep_contour(md.Model.QUANTUM, [1.0, 2.0], (0.5, 4.0)) == [(0.5, 1.0), (0.5, 2.0)]
+
     def test_batched_discriminant_equals_scalar_calls(self):
         g = np.array([[0.0, 0.3, 0.9], [1.2, 1.6, 2.4]])
         t = np.array([[0.5], [2.0]])
