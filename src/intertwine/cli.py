@@ -5,7 +5,11 @@ builtin dimer model or a JSON file (complex numbers as [re, im] pairs,
 matrices row-major, schedules as an ordered event list).  Outputs are
 deterministic CSV/JSON plus optional gnuplot scripts.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure (including
+Each command takes only the options it reads (``build_parser``); the
+tolerances are ``linalg.TOL_EIG`` and ``linalg.TOL_RANK``, not options.
+
+Exit codes: 0 success, 1 config error (an option that does not parse,
+or is unknown to its command, included), 2 numerical failure (including
 a result that cannot be written as finite numbers), 3 verify-suite
 failure.
 """
@@ -26,8 +30,6 @@ from . import liouville as lv
 from . import models as md
 from . import selfcheck
 from .linalg import (
-    DEFAULT_TOL_EIG,
-    DEFAULT_TOL_RANK,
     NumericalError,
     as_matrix,
     eig,  # noqa: F401  (not called here; bench/tests/test_bench_harness.py reads cli.eig)
@@ -207,10 +209,6 @@ def parse_grid(text: str):
 
 def _check_options(args) -> None:
     """Reject numerical options outside their domain, before anything is computed or written."""
-    for name in ("tol_eig", "tol_rank", "tol_override"):
-        value = getattr(args, name, None)
-        if value is not None and not 0.0 < value < np.inf:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {value!r}")
     for name in ("steps_per_period", "periods"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -246,42 +244,52 @@ def _dimer_schedule(args, model: md.Model, waveform: md.Waveform, gamma_over_j, 
         raise ConfigError(str(exc)) from exc
 
 
-def resolve_schedule(args, periodic: bool) -> fl.Schedule:
-    """Schedule from --model or --input; exactly one source required."""
+def _input_object(args) -> dict | None:
+    """The --input JSON object, or None for --model; exactly one source required."""
     if (args.model is None) == (args.input is None):
         raise ConfigError("provide exactly one of --model or --input")
-    if args.input is not None:
-        obj = _load_json(args.input)
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{args.input}: expected a JSON object")
-        if "matrix" in obj:
-            h = parse_matrix(obj["matrix"])
-            try:
-                return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
-            except ValueError as exc:
-                raise ConfigError(f"--JT {args.JT!r}: {exc}") from exc
-        return parse_schedule(obj)
-    model = _model_from_args(args)
-    waveform = _waveform_from_args(args, model.periodic_waveform if periodic else md.Waveform.STATIC)
-    return _dimer_schedule(args, model, waveform, args.gamma, args.JT)
+    if args.input is None:
+        return None
+    try:
+        with open(args.input) as f:
+            obj = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {args.input}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.input}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{args.input}: expected a JSON object")
+    return obj
+
+
+def resolve_schedule(args) -> fl.Schedule:
+    """The periodic drive: the model's at --JT and --waveform, or --input's (a raw matrix lasts --JT)."""
+    obj = _input_object(args)
+    if obj is None:
+        model = _model_from_args(args)
+        waveform = _waveform_from_args(args, model.periodic_waveform)
+        return _dimer_schedule(args, model, waveform, args.gamma, args.JT)
+    if "matrix" in obj:
+        h = parse_matrix(obj["matrix"])
+        try:
+            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
+        except ValueError as exc:
+            raise ConfigError(f"--JT {args.JT!r}: {exc}") from exc
+    return parse_schedule(obj)
 
 
 def resolve_static_hamiltonian(args) -> np.ndarray:
-    sched = resolve_schedule(args, periodic=False)
-    segs = [ev for ev in sched.events if isinstance(ev, fl.Segment)]
-    if len(segs) != 1 or len(sched.events) != 1:
+    """H of --model's static dimer, or of --input's raw matrix or one-segment schedule."""
+    obj = _input_object(args)
+    if obj is None:
+        sched = _dimer_schedule(args, _model_from_args(args), md.Waveform.STATIC, args.gamma, 1.0)
+        return sched.events[0].generator
+    if "matrix" in obj:
+        return parse_matrix(obj["matrix"])
+    sched = parse_schedule(obj)
+    if len(sched.events) != 1 or not isinstance(sched.events[0], fl.Segment):
         raise ConfigError("static mode needs a single-segment schedule or a raw matrix")
-    return segs[0].generator
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    return sched.events[0].generator
 
 
 def _outdir(args) -> Path:
@@ -301,8 +309,8 @@ def _formats(args) -> set[str]:
     return fmts
 
 
-def _operator_records(ops: list[lv.EigenOperator], tol_rank: float) -> list[dict]:
-    ranks = rank(np.array([e.op for e in ops]), tol_rank).tolist()
+def _operator_records(ops: list[lv.EigenOperator]) -> list[dict]:
+    ranks = rank(np.array([e.op for e in ops])).tolist()
     return [
         {
             "label": f"eta{i + 1}",
@@ -324,7 +332,7 @@ def run_static(args) -> int:
     h = resolve_static_hamiltonian(args)
     fmts = _formats(args)
     out = _outdir(args)
-    result = lv.eigen_operators(h, tol_eig=args.tol_eig, tol_rank=args.tol_rank)
+    result = lv.eigen_operators(h)
     phase = result.pt_phase
     if "json" in fmts:
         _write_json(
@@ -336,7 +344,7 @@ def run_static(args) -> int:
                 "hamiltonian_eigenvalues": result.hamiltonian_spectrum.eigenvalues,
                 "pt_phase": phase.value,
                 "conserved_count": len(result.conserved),
-                "operators": _operator_records(result.conserved + result.transient, args.tol_rank),
+                "operators": _operator_records(result.conserved + result.transient),
             },
         )
     if "csv" in fmts:
@@ -352,7 +360,7 @@ def run_static(args) -> int:
     return 0
 
 
-def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, args) -> dict:
+def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list) -> dict:
     recursion = None
     # conserved operators come first, with multiplier exactly 1; no other has it
     if ops[0].rate == 1.0:
@@ -369,19 +377,19 @@ def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list, arg
         "propagator": fp.gf,
         "kappa": fp.kappa.eigenvalues,
         "phase": fp.phase.value,
-        "operators": _operator_records(ops, args.tol_rank),
+        "operators": _operator_records(ops),
         "recursive_check": recursion,
     }
 
 
 def run_floquet(args) -> int:
-    sched = resolve_schedule(args, periodic=True)
+    sched = resolve_schedule(args)
     fmts = _formats(args)
     out = _outdir(args)
-    fp = fl.propagator(sched, args.tol_eig)
-    ops = fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
+    fp = fl.propagator(sched)
+    ops = fl.floquet_eigen_operators(fp.gf)
     if "json" in fmts:
-        _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops, args))
+        _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops))
     if "csv" in fmts:
         lam = np.array([e.rate for e in ops], dtype=complex)
         _write_table(
@@ -401,13 +409,13 @@ def run_floquet(args) -> int:
 
 
 def run_trace(args) -> int:
-    sched = resolve_schedule(args, periodic=True)
+    sched = resolve_schedule(args)
     fmts = _formats(args)
     psi0 = parse_psi0(args.psi0) if args.psi0 else _default_psi0(sched.dim)
     if psi0.size != sched.dim:
         raise ConfigError(f"psi0 has {psi0.size} entries, expected {sched.dim}")
     out = _outdir(args)
-    ops = fl.floquet_eigen_operators(fl.compose(sched), args.tol_eig, args.tol_rank)
+    ops = fl.floquet_eigen_operators(fl.compose(sched))
     series = fl.evolve_trace(
         sched, psi0, [e.op for e in ops], steps_per_period=args.steps_per_period, periods=args.periods
     )
@@ -485,7 +493,7 @@ def _write_gnuplot(out: Path, series: fl.TraceSeries, labels: list[str], ref: np
     (out / "trace.gp").write_text("\n".join(script) + "\n")
 
 
-def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, tol_eig: float):
+def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray):
     """Per point of a batched dimer schedule, axes (JT, gamma/J = ``gammas``): PT
     phase, measure, discriminant and failure cause.
 
@@ -504,13 +512,13 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray, to
         if waveform is md.Waveform.STATIC:
             h = sched.events[0].generator
             w, v = np.linalg.eig(h)
-            phase = lv.hamiltonian_phase(h, w, v, tol_eig)
+            phase = lv.hamiltonian_phase(h, w, v)
             measure = np.max(np.abs(w.imag), axis=-1)
             # both builtin static dimers break PT at gamma = J
             values = 1.0 - gammas * gammas
             failed = np.full(shape, "", dtype=object)
         else:
-            fp = fl.propagator(sched, tol_eig)
+            fp = fl.propagator(sched)
             phase, failed = fp.phase, fp.failed
             moduli = np.abs(fp.kappa.eigenvalues)
             smallest = np.min(moduli, axis=-1)
@@ -537,7 +545,7 @@ def run_scan(args) -> int:
     fmts = _formats(args)
     out = _outdir(args)
 
-    phase, measure, values, failed = _scan_grid(sched, waveform, gammas, args.tol_eig)
+    phase, measure, values, failed = _scan_grid(sched, waveform, gammas)
 
     ok = (failed == "").ravel()
     failures = [{"gamma_over_j": float(gammas[k]), "jt": float(jts[i]), "error": failed[i, k]}
@@ -601,10 +609,7 @@ def run_scan(args) -> int:
 
 
 def run_verify(args) -> int:
-    tols = {}
-    if args.tol_override is not None:
-        tols["residual"] = args.tol_override
-    results = selfcheck.run_all(tols)
+    results = selfcheck.run_all()
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -620,54 +625,52 @@ def run_verify(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intertwine",
         description="Conserved quantities of non-Hermitian Hamiltonians via superoperator spectra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    static = sub.add_parser("static", help="static-Hamiltonian analysis")
+    floquet = sub.add_parser("floquet", help="one-period propagator analysis")
+    trace = sub.add_parser("trace", help="normalized expectation-value traces")
+    scan = sub.add_parser("scan", help="phase diagram over (gamma/J, JT)")
+    sub.add_parser("verify", help="run the built-in invariant suite")
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--model", help="builtin model: quantum-dimer | classical-dimer")
-        p.add_argument("--input", help="JSON input file (raw matrix or schedule)")
-        p.add_argument("--gamma", type=float, default=0.5, help="gain-loss strength in units of J")
-        p.add_argument("--J", type=float, default=1.0, help="coupling")
-        p.add_argument("--JT", type=float, default=1.0, help="period in units of 1/J")
-        p.add_argument("--waveform", help="static | square | kicks")
-        p.add_argument("--tol-eig", type=float, default=DEFAULT_TOL_EIG)
-        p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL_RANK)
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", default="csv,json", help="subset of csv,json,gnuplot")
+    # each option goes to the commands that read it
+    def add(parsers, flag: str, **kwargs):
+        for p in parsers:
+            p.add_argument(flag, **kwargs)
 
-    common(sub.add_parser("static", help="static-Hamiltonian analysis"))
-
-    common(sub.add_parser("floquet", help="one-period propagator analysis"))
-
-    p_trace = sub.add_parser("trace", help="normalized expectation-value traces")
-    common(p_trace)
-    p_trace.add_argument("--psi0", help="initial state as 're,im;re,im'")
-    p_trace.add_argument("--steps-per-period", type=int, default=200)
-    p_trace.add_argument("--periods", type=int, default=10)
-
-    p_scan = sub.add_parser("scan", help="phase diagram over (gamma/J, JT)")
-    common(p_scan)
-    p_scan.add_argument("--grid", default="0:2:21,0.2:3:15", help="gmin:gmax:n,tmin:tmax:n")
-
-    p_verify = sub.add_parser("verify", help="run the built-in invariant suite")
-    p_verify.add_argument("--tol-override", type=float, default=None,
-                          help="replace every check threshold by this value")
-
+    add((static, floquet, trace, scan), "--model", help="builtin model: quantum-dimer | classical-dimer")
+    add((static, floquet, trace), "--input", help="JSON input file (raw matrix or schedule)")
+    add((static, floquet, trace), "--gamma", type=float, default=0.5, help="gain-loss strength in units of J")
+    add((static, floquet, trace, scan), "--J", type=float, default=1.0, help="coupling")
+    add((floquet, trace), "--JT", type=float, default=1.0, help="period in units of 1/J")
+    add((floquet, trace, scan), "--waveform", help="static | square | kicks")
+    add((static, floquet, trace, scan), "--out", default="out", help="output directory")
+    add((static, floquet, trace, scan), "--format", default="csv,json", help="subset of csv,json,gnuplot")
+    trace.add_argument("--psi0", help="initial state as 're,im;re,im'")
+    trace.add_argument("--steps-per-period", type=int, default=200)
+    trace.add_argument("--periods", type=int, default=10)
+    scan.add_argument("--grid", default="0:2:21,0.2:3:15", help="gmin:gmax:n,tmin:tmax:n")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, so the cached parser holds no command function
-    command = globals()[f"run_{args.command}"]
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
-        return command(args)
+        # looked up per call, so the cached parser holds no command function
+        return globals()[f"run_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL_EIG,
-    DEFAULT_TOL_RANK,
     NumericalError,
     Spectrum,
     as_matrix,
@@ -25,11 +23,15 @@ from .linalg import (
     matexp,
 )
 from .liouville import (
+    RELATION_REL_TOL,
     EigenOperator,
     PTPhase,
     classify_phase,
     superoperator_eigen_operators,
 )
+
+# event times this close, relative to the period, are one instant
+EVENT_BOUNDARY_REL_TOL = 1e-12
 
 
 @dataclass
@@ -123,11 +125,11 @@ class FloquetPropagator:
     failed: np.ndarray
 
 
-def classify_floquet_phase(kappa: Spectrum, tol: float = DEFAULT_TOL_EIG):
+def classify_floquet_phase(kappa: Spectrum):
     """PT phase from the moduli of the one-period propagator eigenvalues (all equal: symmetric)."""
     moduli = np.abs(kappa.eigenvalues)
     top = np.max(moduli, axis=-1)
-    return classify_phase(kappa.eigenvalues, kappa.eigenvectors, top - np.min(moduli, axis=-1), top, tol)
+    return classify_phase(kappa.eigenvalues, kappa.eigenvectors, top - np.min(moduli, axis=-1), top)
 
 
 def compose(s: Schedule) -> np.ndarray:
@@ -147,7 +149,7 @@ def compose(s: Schedule) -> np.ndarray:
     return gf
 
 
-def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagator:
+def propagator(s: Schedule) -> FloquetPropagator:
     """The one-period product with its eigendecomposition and PT phase, per batch point.
 
     Without batch axes a failure raises (OverflowError, NumericalError);
@@ -158,7 +160,7 @@ def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagat
     failed[~np.isfinite(gf).all(axis=(-2, -1))] = "one-period propagator overflowed double range"
     a = np.where((failed == "")[..., None, None], gf, np.eye(s.dim))
     try:
-        kappa = eig(a, tol_eig)
+        kappa = eig(a)
     except NumericalError:
         if not s.batch_shape:
             raise
@@ -166,12 +168,12 @@ def propagator(s: Schedule, tol_eig: float = DEFAULT_TOL_EIG) -> FloquetPropagat
         # a call for that point alone gives, and solve the others together
         for idx in np.ndindex(s.batch_shape):
             try:
-                eig(a[idx], tol_eig)
+                eig(a[idx])
             except NumericalError as exc:
                 failed[idx] = str(exc)
                 a[idx] = np.eye(s.dim)
-        kappa = eig(a, tol_eig)
-    return FloquetPropagator(gf, kappa, classify_floquet_phase(kappa, tol_eig), failed)
+        kappa = eig(a)
+    return FloquetPropagator(gf, kappa, classify_floquet_phase(kappa), failed)
 
 
 def build_floquet_superoperator(gf) -> np.ndarray:
@@ -196,22 +198,18 @@ def _sandwich(gf: np.ndarray):
     return lambda eta: gdag @ eta @ gf
 
 
-def floquet_eigen_operators(
-    gf,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_rank: float = DEFAULT_TOL_RANK,
-) -> list[EigenOperator]:
+def floquet_eigen_operators(gf) -> list[EigenOperator]:
     """All N^2 eigen-operators of the Floquet superoperator, conserved first.
 
     The ``rate`` field carries the stroboscopic multiplier lambda; the
     conserved operators carry exactly 1.  A multiplier counts as 1 within
-    a tolerance relative to max|lambda|.
+    TARGET_EIGENVALUE_REL_TOL times max|lambda|.
     """
     gf = as_matrix(gf)
     gmat = build_floquet_superoperator(gf)
-    spectrum = eig(gmat, tol_eig)
+    spectrum = eig(gmat)
     conserved, others = superoperator_eigen_operators(
-        gmat, spectrum, _sandwich(gf), 1.0, float(np.max(np.abs(spectrum.eigenvalues))), tol_rank
+        gmat, spectrum, _sandwich(gf), 1.0, float(np.max(np.abs(spectrum.eigenvalues)))
     )
     return conserved + others
 
@@ -230,7 +228,7 @@ def recursive_floquet(eta1, gf) -> RecursiveCandidates:
     """Both recursion candidates, tagged for independence from eta1."""
     eta1 = as_matrix(eta1)
     gf = as_matrix(gf)
-    tol = 1e-8  # relative to the norms of eta1 and gf
+    tol = RELATION_REL_TOL  # relative to the norms of eta1 and gf
     if hs_norm(_sandwich(gf)(eta1) - eta1) > tol * max(hs_norm(eta1), 1e-300) * hs_norm(gf) ** 2:
         raise ValueError("eta1 is not stroboscopically conserved under gf")
     sym = 0.5 * (eta1 @ gf + gf.conj().T @ eta1)
@@ -256,7 +254,7 @@ def _split_events(s: Schedule, t0: float):
     """Partition events at absolute time t0, splitting a segment if needed."""
     before, after = [], []
     t = 0.0
-    boundary_tol = 1e-12 * s.period
+    boundary_tol = EVENT_BOUNDARY_REL_TOL * s.period
     for ev in s.events:
         if isinstance(ev, Kick):
             if abs(t - t0) <= boundary_tol:
@@ -275,18 +273,18 @@ def _split_events(s: Schedule, t0: float):
     return before, after
 
 
-def time_shift(s: Schedule, t0: float, tol: float = 1e-9):
+def time_shift(s: Schedule, t0: float):
     """Shift the time origin to t0; returns (S, shifted schedule).
 
     S is the time-ordered product over [0, t0]; the shifted schedule is
     the cyclic rotation of the events, and its propagator equals
-    S gf S^-1 (verified internally).
+    S gf S^-1 (verified internally, to 1e-9 max(||gf||_F, 1)).
     """
     if s.batch_shape:
         raise ValueError("time_shift needs a schedule without batch axes")
     if not 0.0 <= t0 < s.period:
         raise ValueError(f"t0 must lie in [0, period), got {t0}")
-    if t0 <= 1e-12 * s.period:  # within _split_events' boundary tolerance: no segment time before t0
+    if t0 <= EVENT_BOUNDARY_REL_TOL * s.period:  # no segment time before t0
         return np.eye(s.dim, dtype=complex), s
     before, after = _split_events(s, t0)
     smat = compose(Schedule(dim=s.dim, events=before))
@@ -294,7 +292,7 @@ def time_shift(s: Schedule, t0: float, tol: float = 1e-9):
     gf = compose(s)
     expected = smat @ gf @ np.linalg.inv(smat)
     got = compose(shifted)
-    if hs_norm(got - expected) > tol * max(hs_norm(gf), 1.0):
+    if hs_norm(got - expected) > 1e-9 * max(hs_norm(gf), 1.0):
         raise ValueError("time-shift covariance check failed")
     return smat, shifted
 
@@ -353,7 +351,7 @@ def evolve_trace(
     for ev in s.events:
         if isinstance(ev, Segment):
             end = t + ev.duration
-            stop = np.searchsorted(t_samples, end - 1e-12 * s.period)
+            stop = np.searchsorted(t_samples, end - EVENT_BOUNDARY_REL_TOL * s.period)
             partials[k:stop] = matexp((-1j * (t_samples[k:stop] - t))[:, None, None] * ev.generator) @ acc
             k, t = stop, end
         acc = ev.factor() @ acc

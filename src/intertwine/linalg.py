@@ -3,6 +3,13 @@
 All routines operate on square (or rectangular, where noted) complex
 matrices stored as numpy arrays of dtype complex128.  They are thin,
 contract-enforcing wrappers around LAPACK-backed numpy/scipy routines.
+
+The package's tolerance policy is two constants, read at call time:
+``TOL_EIG`` cuts the residuals of ``eig`` (||A v - lambda v|| <=
+TOL_EIG ||A||_F per pair) and is the PT-phase margin; ``TOL_RANK`` is
+the rank and null-space cut (singular values up to TOL_RANK times the
+scale are zero), the Hermitization floor and the Kronecker switch
+cond(V)^2 > 1/TOL_RANK of ``liouville.eigen_operators``.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-DEFAULT_TOL_EIG = 1e-9
-DEFAULT_TOL_RANK = 1e-9
+TOL_EIG = 1e-9
+TOL_RANK = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -114,10 +121,11 @@ class Spectrum:
     residuals: np.ndarray
 
 
-def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
-    """Full right-eigendecomposition of a general complex matrix or stack (..., n, n)."""
-    if tol_eig <= 0:
-        raise ValueError("tol_eig must be positive")
+def eig(a) -> Spectrum:
+    """Full right-eigendecomposition of a general complex matrix or stack (..., n, n).
+
+    Raises NumericalError when a pair misses the TOL_EIG residual contract.
+    """
     a = _require_square(as_matrix(a, batched=True))
     # the contract is checked on A / 2^p, 2^p about max|A_ij| where that
     # is >= 1: dividing by a power of two is exact, so every decision and
@@ -147,7 +155,7 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     r = a @ v - v * w[..., None, :]
     r *= f
     scaled = np.linalg.norm(r, axis=-2)
-    bad = np.argwhere(scaled > tol_eig * np.maximum(scale, 1e-300))
+    bad = np.argwhere(scaled > TOL_EIG * np.maximum(scale, 1e-300))
     residuals = np.ldexp(scaled, p)
     if bad.size:
         raise NumericalError(
@@ -161,31 +169,27 @@ def eig(a, tol_eig: float = DEFAULT_TOL_EIG) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def null_space(a, tol_rank: float = DEFAULT_TOL_RANK, scale: float | None = None) -> np.ndarray:
+def null_space(a, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 
     Uses the SVD so the extraction stays well-conditioned even when the
-    matrix is defective.  Singular values up to tol_rank * scale count
+    matrix is defective.  Singular values up to TOL_RANK * scale count
     as zero; ``scale`` defaults to sigma_max.  Returns an (n, k) array;
     k may be 0.
     """
-    if tol_rank <= 0:
-        raise ValueError("tol_rank must be positive")
     a = as_matrix(a)
     _, s, vh = scipy.linalg.svd(a)
-    nkeep = int(np.sum(s > tol_rank * (s[0] if scale is None else scale)))
+    nkeep = int(np.sum(s > TOL_RANK * (s[0] if scale is None else scale)))
     return vh[nkeep:].conj().T.copy()
 
 
-def rank(a, tol_rank: float = DEFAULT_TOL_RANK):
-    """Number of singular values above tol_rank * sigma_max.
+def rank(a):
+    """Number of singular values above TOL_RANK * sigma_max.
 
     ``a`` is one matrix or a stack of shape (..., m, n); a stack gives an
     integer array with one count per matrix.
     """
-    if tol_rank <= 0:
-        raise ValueError("tol_rank must be positive")
     a = as_matrix(a, batched=True)
     s = np.linalg.svd(a, compute_uv=False)
-    counts = np.count_nonzero(s > tol_rank * s[..., :1], axis=-1)
+    counts = np.count_nonzero(s > TOL_RANK * s[..., :1], axis=-1)
     return int(counts) if a.ndim == 2 else counts

@@ -17,6 +17,9 @@ target eigenspace, then the other eigen-operators.  Three routes feed it:
   test oracle): the eigenvectors and the SVD null space of L, target 0;
 * Floquet (``floquet.py``): the same for gf^T kron gf^dag, target 1.
 The PT-phase test (``classify_phase``) serves the static and Floquet paths.
+
+The PT-phase margin, the rank cut and the Kronecker switch are
+``linalg.TOL_EIG`` and ``linalg.TOL_RANK``, read at call time.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
-    DEFAULT_TOL_EIG,
-    DEFAULT_TOL_RANK,
     Spectrum,
     as_matrix,
     eig,
@@ -42,6 +44,9 @@ from .linalg import (
 # a superoperator eigenvalue lambda with |lambda - mu| <= this times the
 # path's scale belongs to the conserved (target mu) eigenspace
 TARGET_EIGENVALUE_REL_TOL = 1e-8
+# a relation checked on a result (eta H = H^dag eta, gf^dag eta gf = eta, a
+# spanning basis) holds to this times the norms it is relative to
+RELATION_REL_TOL = 1e-8
 
 
 class PTPhase(enum.Enum):
@@ -157,9 +162,9 @@ def pair_rates(eps) -> np.ndarray:
     return (-1j * (eps[:, None] - np.conj(eps)[None, :])).reshape(-1)
 
 
-def predicted_rates(h, tol_eig: float = DEFAULT_TOL_EIG) -> np.ndarray:
+def predicted_rates(h) -> np.ndarray:
     """All N^2 rates -i(eps_p - eps_q*), sorted by (real, imag)."""
-    rates = pair_rates(eig(h, tol_eig).eigenvalues)
+    rates = pair_rates(eig(h).eigenvalues)
     return rates[np.lexsort((rates.imag, rates.real))]
 
 
@@ -172,15 +177,14 @@ def verify_intertwining(eta, h) -> float:
     return hs_norm(eta @ h - h.conj().T @ eta)
 
 
-def hermitize_basis(ops, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
+def hermitize_basis(ops) -> list[np.ndarray]:
     """Replace a basis (a stack (k, N, N)) of a dagger-closed operator subspace by a Hermitian one.
 
-    From each basis matrix M the candidates (M + M^dag)/2 and
-    -i(M - M^dag)/2 are generated and orthonormalized (modified
-    Gram-Schmidt in the HS inner product); near-zero leftovers are
-    discarded.  Raises if the Hermitian operators fail to span the
-    original subspace, which can only happen when the subspace is not
-    closed under the adjoint.
+    From each basis matrix M the candidates (M + M^dag)/2 and -i(M - M^dag)/2
+    are orthonormalized (modified Gram-Schmidt in the HS inner product);
+    leftovers of norm up to max(TOL_RANK, 1e-12) are discarded.  Raises if
+    the Hermitian operators fail to span the original subspace, which can
+    only happen when the subspace is not closed under the adjoint.
     """
     ops = np.asarray(ops, dtype=complex)
     k = len(ops)
@@ -193,7 +197,7 @@ def hermitize_basis(ops, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
             for b in basis:
                 w = w - np.vdot(b, w) * b
             nrm = hs_norm(w)
-            if nrm > max(tol, 1e-12):
+            if nrm > max(linalg.TOL_RANK, 1e-12):
                 basis.append(w / nrm)
         if len(basis) >= k:
             basis = basis[:k]
@@ -205,7 +209,7 @@ def hermitize_basis(ops, tol: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
     # confirm the Hermitian basis still spans the original space
     rows, brows = ops.reshape(k, -1), np.array(basis).reshape(k, -1)
     proj = rows @ brows.conj().T @ brows
-    if np.linalg.norm(proj - rows) > 1e-8 * max(1.0, np.linalg.norm(rows)):
+    if np.linalg.norm(proj - rows) > RELATION_REL_TOL * max(1.0, np.linalg.norm(rows)):
         raise ValueError("Hermitized basis does not span the original subspace")
     return basis
 
@@ -247,7 +251,7 @@ def _unvec_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, n, n).swapaxes(-1, -2)
 
 
-def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex, scale: float, tol_rank: float):
+def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex, scale: float):
     """Eigen-operators of a superoperator S with eigenvalues ``lams``: (conserved, others, quotients).
 
     ``operators(idx)`` builds the stack (k, N, N) of the eigen-operators
@@ -261,7 +265,7 @@ def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex
     operators come conserved first.
     """
     far = np.abs(lams - mu) > TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
-    basis = np.array(hermitize_basis(span(np.flatnonzero(~far)), tol_rank))
+    basis = np.array(hermitize_basis(span(np.flatnonzero(~far))))
     conserved, q_conserved = _build_operators(basis, np.full(len(basis), complex(mu)), action)
     vals = lams.tolist()
     keep = sorted(np.flatnonzero(far).tolist(), key=lambda i: (abs(vals[i] - mu), np.angle(vals[i]), abs(vals[i])))
@@ -271,49 +275,41 @@ def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex
 
 
 def superoperator_eigen_operators(
-    smat, spectrum: Spectrum, action, mu: complex, scale: float, tol_rank: float
+    smat, spectrum: Spectrum, action, mu: complex, scale: float
 ) -> tuple[list[EigenOperator], list[EigenOperator]]:
     """Eigen-operators of S (eigendecomposed in ``spectrum``), split into (conserved, others).
 
     S acts on column-stacked operators.  The eigenspace of mu is spanned by
-    the SVD null space of S - mu 1 (singular values up to tol_rank *
+    the SVD null space of S - mu 1 (singular values up to TOL_RANK *
     scale), which stays robust at and near exceptional points, where S is
     defective and its eigenvectors do not span that space.
     """
-    null = _unvec_rows(null_space(smat - mu * np.eye(smat.shape[0]), tol_rank, scale).T)
+    null = _unvec_rows(null_space(smat - mu * np.eye(smat.shape[0]), scale).T)
     conserved, others, _ = split_eigen_operators(
         lambda near: null, lambda idx: _unvec_rows(spectrum.eigenvectors.T[idx]),
-        spectrum.eigenvalues, action, mu, scale, tol_rank,
+        spectrum.eigenvalues, action, mu, scale,
     )
     return conserved, others
 
 
-def kronecker_eigen_operators(
-    h,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_rank: float = DEFAULT_TOL_RANK,
-) -> LiouvillianResult:
+def kronecker_eigen_operators(h) -> LiouvillianResult:
     """All N^2 eigen-pairs of L from the eigendecomposition of the N^2 x N^2 Kronecker matrix.
 
     The O(N^6) reference route: the oracle that ``eigen_operators`` is
     tested against, and its fallback at and near exceptional points.
     """
     h = as_matrix(h)
-    spectrum = eig(h, tol_eig)
+    spectrum = eig(h)
     lmat = build_liouvillian(h)
-    lspec = eig(lmat, tol_eig)
+    lspec = eig(lmat)
     conserved, transient = superoperator_eigen_operators(
-        lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat), tol_rank
+        lmat, lspec, partial(apply_liouvillian, h), 0.0, hs_norm(lmat)
     )
-    phase = hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors, tol_eig)
+    phase = hamiltonian_phase(h, spectrum.eigenvalues, spectrum.eigenvectors)
     return LiouvillianResult(lspec.eigenvalues, conserved, transient, spectrum, phase, "kronecker")
 
 
-def eigen_operators(
-    h,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_rank: float = DEFAULT_TOL_RANK,
-) -> LiouvillianResult:
+def eigen_operators(h) -> LiouvillianResult:
     """All N^2 eigen-pairs of L, split into conserved and transient, from one eig(H).
 
     With H = V diag(e) V^-1 the operators are the rank-1 products
@@ -322,14 +318,14 @@ def eigen_operators(
     TARGET_EIGENVALUE_REL_TOL * ||L||_F span the conserved operators,
     which are Hermitized together; the others are the transient ones,
     sorted by (|rate|, arg rate).  At and near an exceptional
-    point, where cond(V)^2 > 1/tol_rank, the result comes from
+    point, where cond(V)^2 > 1/TOL_RANK, the result comes from
     ``kronecker_eigen_operators`` instead; ``path`` records which.
     """
     h = as_matrix(h)
-    spectrum = eig(h, tol_eig)
+    spectrum = eig(h)
     v = spectrum.eigenvectors
-    if np.linalg.cond(v) > 1.0 / np.sqrt(tol_rank):  # cond(V)^2 > 1/tol_rank
-        return kronecker_eigen_operators(h, tol_eig, tol_rank)
+    if np.linalg.cond(v) > 1.0 / np.sqrt(linalg.TOL_RANK):  # cond(V)^2 > 1/TOL_RANK
+        return kronecker_eigen_operators(h)
     w = np.linalg.inv(v)  # row a: w_a H = e_a w_a
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
     a, b = np.divmod(np.arange(h.shape[0] ** 2), h.shape[0])  # pair (a, b) at index a*N + b
@@ -340,9 +336,9 @@ def eigen_operators(
 
     conserved, transient, quotients = split_eigen_operators(
         products, products, pair_rates(spectrum.eigenvalues), partial(apply_liouvillian, h),
-        0.0, liouvillian_norm(h), tol_rank,
+        0.0, liouvillian_norm(h),
     )
-    phase = hamiltonian_phase(h, spectrum.eigenvalues, v, tol_eig)
+    phase = hamiltonian_phase(h, spectrum.eigenvalues, v)
     return LiouvillianResult(quotients, conserved, transient, spectrum, phase, "rank-1")
 
 
@@ -356,8 +352,7 @@ def recursive_tower(eta1, h, count: int, scale: float | None = None) -> list[np.
     h = as_matrix(h)
     if count < 1:
         raise ValueError("count must be >= 1")
-    tol = 1e-8 * max(hs_norm(eta1) * hs_norm(h), 1e-300)
-    if verify_intertwining(eta1, h) > tol:
+    if verify_intertwining(eta1, h) > RELATION_REL_TOL * max(hs_norm(eta1) * hs_norm(h), 1e-300):
         raise ValueError("eta1 is not an intertwiner of H")
     s = float(scale) if scale is not None else float(np.linalg.norm(h, 2))
     if s <= 0:
@@ -366,22 +361,25 @@ def recursive_tower(eta1, h, count: int, scale: float | None = None) -> list[np.
     eta = eta1
     for _ in range(count):
         eta = eta @ h / s
-        if verify_intertwining(eta, h) > 1e-8 * max(hs_norm(eta) * hs_norm(h), 1e-300):
+        if verify_intertwining(eta, h) > RELATION_REL_TOL * max(hs_norm(eta) * hs_norm(h), 1e-300):
             raise ValueError("recursive construction left the intertwiner space")
         tower.append(eta)
     return tower
 
 
-def classify_phase(w, v, spread, scale, tol: float = DEFAULT_TOL_EIG):
+def classify_phase(w, v, spread, scale):
     """PT phase from eigenvalues ``w`` (eigenvectors ``v`` as columns).
 
     An exceptional point requires both an eigenvalue collision and an
     ill-conditioned eigenvector matrix (the floating-point stand-in for
     algebraic multiplicity exceeding geometric multiplicity).  Otherwise it
-    is symmetric when ``spread`` (zero in the symmetric phase) <= tol * scale.
+    is symmetric when ``spread`` (zero in the symmetric phase) <= TOL_EIG * scale;
+    a collision is a gap up to TOL_EIG * scale, ill-conditioned is
+    cond(v) > 1/TOL_EIG.
     Stacked inputs (w (..., n), v (..., n, n), spread and scale (...))
     give an object array of phases with the batch shape.
     """
+    tol = linalg.TOL_EIG
     scale = np.maximum(scale, 1e-300)
     gaps = np.abs(w[..., :, None] - w[..., None, :])
     n = w.shape[-1]
@@ -393,7 +391,7 @@ def classify_phase(w, v, spread, scale, tol: float = DEFAULT_TOL_EIG):
     return _PHASES[code]
 
 
-def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
+def classify_pt_phase(h):
     """Classify the spectrum as PT-symmetric (all eigenvalues real), PT-broken, or at an EP.
 
     ``h`` is one Hamiltonian or a stack (..., N, N), classified matrix by matrix.
@@ -402,12 +400,12 @@ def classify_pt_phase(h, tol: float = DEFAULT_TOL_EIG):
     if h.shape[-2] != h.shape[-1]:
         raise ValueError("Hamiltonian must be square")
     w, v = np.linalg.eig(h)
-    return hamiltonian_phase(h, w, v, tol)
+    return hamiltonian_phase(h, w, v)
 
 
-def hamiltonian_phase(h, w, v, tol: float):
+def hamiltonian_phase(h, w, v):
     """PT phase of H (or a stack) from its eigenvalues ``w`` and eigenvectors ``v``."""
-    return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), scaled_hs_norm(h), tol)
+    return classify_phase(w, v, np.max(np.abs(w.imag), axis=-1), scaled_hs_norm(h))
 
 
 def verify_pt_symmetry(h, p) -> float:

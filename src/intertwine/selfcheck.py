@@ -54,7 +54,7 @@ def match_spectra(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(cost[rows, cols]))
 
 
-def check_vec_round_trip(tols) -> CheckResult:
+def check_vec_round_trip() -> CheckResult:
     rng = _rng()
     ok = True
     for n in (2, 3, 5):
@@ -63,16 +63,16 @@ def check_vec_round_trip(tols) -> CheckResult:
     return CheckResult("vec/unvec round trip is bit-exact", ok, "")
 
 
-def check_sandwich_identity(tols) -> CheckResult:
+def check_sandwich_identity() -> CheckResult:
     rng = _rng(7)
     worst = 0.0
     for _ in range(5):
         a, b, eta = (random_complex(rng, 3, 3) for _ in range(3))
         worst = max(worst, float(np.linalg.norm(sandwich_matrix(a, b) @ vec(eta) - vec(a @ eta @ b))))
-    return CheckResult.from_measure("Kronecker sandwich identity", worst, tols.get("residual", 1e-12))
+    return CheckResult.from_measure("Kronecker sandwich identity", worst, 1e-12)
 
 
-def check_matexp_taylor(tols) -> CheckResult:
+def check_matexp_taylor() -> CheckResult:
     rng = _rng(11)
     worst = 0.0
     for _ in range(5):
@@ -84,10 +84,10 @@ def check_matexp_taylor(tols) -> CheckResult:
             term = term @ a / k
             total += term
         worst = max(worst, hs_norm(matexp(a) - total))
-    return CheckResult.from_measure("matexp vs 30-term Taylor", worst, tols.get("residual", 1e-10))
+    return CheckResult.from_measure("matexp vs 30-term Taylor", worst, 1e-10)
 
 
-def check_matexp_defective(tols) -> CheckResult:
+def check_matexp_defective() -> CheckResult:
     # at gamma = J each half-period generator is nilpotent, so the full
     # propagator is exactly quadratic in T
     J = 1.0
@@ -97,10 +97,10 @@ def check_matexp_defective(tols) -> CheckResult:
     gf = matexp(-1j * hm * T / 2) @ matexp(-1j * hp * T / 2)
     poly = (np.eye(2) - 1j * hm * T / 2) @ (np.eye(2) - 1j * hp * T / 2)
     res = hs_norm(gf - poly)
-    return CheckResult.from_measure("matexp exact on defective (EP) generators", res, tols.get("residual", 1e-10))
+    return CheckResult.from_measure("matexp exact on defective (EP) generators", res, 1e-10)
 
 
-def check_spectrum_pairing(tols) -> CheckResult:
+def check_spectrum_pairing() -> CheckResult:
     rng = _rng(23)
     worst = 0.0
     for n in (2, 3, 4):
@@ -108,12 +108,10 @@ def check_spectrum_pairing(tols) -> CheckResult:
         spectra = eig(np.stack([lv.build_liouvillian(h) for h in hs])).eigenvalues
         for h, rates in zip(hs, spectra):
             worst = max(worst, match_spectra(rates, lv.predicted_rates(h)))
-    return CheckResult.from_measure(
-        "Liouvillian spectrum equals -i(eps_p - eps_q*)", worst, tols.get("residual", 1e-7), "mismatch"
-    )
+    return CheckResult.from_measure("Liouvillian spectrum equals -i(eps_p - eps_q*)", worst, 1e-7, "mismatch")
 
 
-def check_static_exponential_law(tols) -> CheckResult:
+def check_static_exponential_law() -> CheckResult:
     rng = _rng(31)
     worst = 0.0
     for gamma in (0.3, 0.5, 1.5):
@@ -131,7 +129,7 @@ def check_static_exponential_law(tols) -> CheckResult:
                     want = np.exp(eop.rate * t) * v0
                     denom = max(abs(want), abs(v0), 1e-30)
                     worst = max(worst, abs(got - want) / denom)
-    return CheckResult.from_measure("static exponential law", worst, tols.get("residual", 1e-7), "rel error")
+    return CheckResult.from_measure("static exponential law", worst, 1e-7, "rel error")
 
 
 def _closed_form_gap(model: md.Model) -> float:
@@ -148,17 +146,17 @@ def _closed_form_gap(model: md.Model) -> float:
     )
 
 
-def check_quantum_closed_form(tols) -> CheckResult:
+def check_quantum_closed_form() -> CheckResult:
     worst = _closed_form_gap(md.Model.QUANTUM)
-    return CheckResult.from_measure("quantum propagator matches closed form", worst, tols.get("residual", 1e-10))
+    return CheckResult.from_measure("quantum propagator matches closed form", worst, 1e-10)
 
 
-def check_classical_closed_form(tols) -> CheckResult:
+def check_classical_closed_form() -> CheckResult:
     worst = _closed_form_gap(md.Model.CLASSICAL)
-    return CheckResult.from_measure("classical propagator matches closed form", worst, tols.get("residual", 1e-10))
+    return CheckResult.from_measure("classical propagator matches closed form", worst, 1e-10)
 
 
-def check_stroboscopic_law(tols) -> CheckResult:
+def check_stroboscopic_law() -> CheckResult:
     rng = _rng(41)
     worst = 0.0
     for model in (md.Model.QUANTUM, md.Model.CLASSICAL):
@@ -173,7 +171,7 @@ def check_stroboscopic_law(tols) -> CheckResult:
                 ref = ref * eop.rate
                 got = np.vdot(psi, eop.op @ psi)
                 worst = max(worst, abs(got - ref) / max(abs(ref), abs(v), 1e-30))
-    return CheckResult.from_measure("stroboscopic exponential law", worst, tols.get("residual", 1e-6), "rel error")
+    return CheckResult.from_measure("stroboscopic exponential law", worst, 1e-6, "rel error")
 
 
 def resolve_classical_eta2_form() -> tuple[str, float, float]:
@@ -195,7 +193,7 @@ def resolve_classical_eta2_form() -> tuple[str, float, float]:
     return winner, res_a, res_b
 
 
-def check_classical_eta2_form(tols) -> CheckResult:
+def check_classical_eta2_form() -> CheckResult:
     winner, res_a, res_b = resolve_classical_eta2_form()
     exactly_one = (res_a <= 1e-10) != (res_b <= 1e-10)
     return CheckResult(
@@ -205,7 +203,7 @@ def check_classical_eta2_form(tols) -> CheckResult:
     )
 
 
-def check_time_shift(tols) -> CheckResult:
+def check_time_shift() -> CheckResult:
     p = md.DimerParams(J=1.0, gamma=0.5, T=1.0, waveform=md.Waveform.SQUARE_WAVE)
     sched = md.quantum_dimer(p)
     gf = fl.compose(sched)
@@ -214,17 +212,15 @@ def check_time_shift(tols) -> CheckResult:
         smat, shifted = fl.time_shift(sched, frac * p.T)
         got = fl.compose(shifted)
         worst = max(worst, hs_norm(got - smat @ gf @ np.linalg.inv(smat)))
-    return CheckResult.from_measure("time-shift similarity covariance", worst, tols.get("residual", 1e-9))
+    return CheckResult.from_measure("time-shift similarity covariance", worst, 1e-9)
 
 
-def check_classical_ep_contour(tols) -> CheckResult:
+def check_classical_ep_contour() -> CheckResult:
     worst = 0.0
     points = md.ep_contour(md.Model.CLASSICAL, np.linspace(0.6, 2.4, 5), (1e-6, 6.0), tol=1e-12)
     for root, jt in points:
         worst = max(worst, abs(root * jt - np.arctanh(np.cos(jt / 2))))
-    return CheckResult.from_measure(
-        "classical EP contour matches cos(JT/2)=tanh(gT)", worst, tols.get("residual", 1e-6), "gap in gT"
-    )
+    return CheckResult.from_measure("classical EP contour matches cos(JT/2)=tanh(gT)", worst, 1e-6, "gap in gT")
 
 
 ALL_CHECKS = [
@@ -243,6 +239,5 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(tols: dict | None = None) -> list[CheckResult]:
-    tols = tols or {}
-    return [check(tols) for check in ALL_CHECKS]
+def run_all() -> list[CheckResult]:
+    return [check() for check in ALL_CHECKS]

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from intertwine import cli, linalg, selfcheck
 from intertwine import floquet as fl
 from intertwine import liouville as lv
 from intertwine import models as md
-from intertwine.linalg import DEFAULT_TOL_EIG, NumericalError
+from intertwine.linalg import NumericalError
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -144,7 +146,7 @@ class TestConfigErrors:
         "command, extra, source",
         [
             ("floquet", ["--JT", "-1"], {"matrix": [[0, 1], [1, 0]]}),
-            ("static", ["--JT", "0"], {"matrix": [[0, 1], [1, 0]]}),
+            ("floquet", ["--JT", "0"], {"matrix": [[0, 1], [1, 0]]}),
             ("floquet", ["--JT", "nan"], {"matrix": [[0, 1], [1, 0]]}),
             ("floquet", ["--JT", "inf"], {"matrix": [[0, 1], [1, 0]]}),
             ("floquet", [], {"dim": 2, "events": [{"segment": {"duration": -1.0, "h": [[0, 1], [1, 0]]}}]}),
@@ -210,6 +212,7 @@ class TestConfigErrors:
             ["trace", "--steps-per-period", "0"],
             ["trace", "--periods", "0"],
             ["trace", "--psi0", "0,0;0,0"],
+            # the tolerances are linalg constants: no value of these is accepted
             *[[command, "--tol-eig", value]
               for command in ("static", "floquet", "scan", "trace")
               for value in ("0", "-1", "nan", "inf")],
@@ -229,10 +232,38 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
     def test_tol_override_out_of_domain_exits_1(self, capsys, value):
+        # verify's thresholds are fixed: --tol-override is no option of it
         code, captured = run(["verify", "--tol-override", value], capsys)
         assert code == 1
-        assert captured.err.startswith("config error: --tol-override")
+        assert captured.err.startswith("config error:")
+        assert f"unrecognized arguments: --tol-override {value}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["static", "--bogus"],
+            # options a command does not read are not options of that command
+            ["static", "--model", "quantum-dimer", "--JT", "1"],
+            ["scan", "--model", "quantum-dimer", "--input", "h.json", "--grid", "0:1:3,0.5:1:2"],
+            ["floquet", "--gamma", "x"],
+            [],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_parse_error_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, captured = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["static", "--help"])
+        assert exc.value.code == 0
+        assert "--gamma" in capsys.readouterr().out
 
 
 class TestStatic:
@@ -572,20 +603,21 @@ class TestScan:
         assert want_failures == []
 
     @pytest.mark.parametrize("model, waveform", [("classical-dimer", "kicks"), ("quantum-dimer", "square")])
-    def test_eigensolver_failures_are_recorded_per_point(self, tmp_path, model, waveform):
-        # at --tol-eig 3e-16 some points miss eig's residual contract
+    def test_eigensolver_failures_are_recorded_per_point(self, tmp_path, monkeypatch, model, waveform):
+        # with a residual contract of 3e-16 some points miss it
+        monkeypatch.setattr(linalg, "TOL_EIG", 3e-16)
         grid = "0:2:11,0.5:3:6"
-        argv = ["scan", "--model", model, "--waveform", waveform, "--grid", grid, "--tol-eig", "3e-16"]
+        argv = ["scan", "--model", model, "--waveform", waveform, "--grid", grid]
         assert run(argv + ["--out", str(tmp_path)]) == 0
         want_grid, want_contour, want_failures = per_point_scan_tables(
-            md.Model(model), md.Waveform(waveform), *cli.parse_grid(grid), 1.0, tol_eig=3e-16)
+            md.Model(model), md.Waveform(waveform), *cli.parse_grid(grid), 1.0)
         assert 0 < len(want_failures) < 66
         assert (tmp_path / "scan_grid.csv").read_text() == want_grid
         assert (tmp_path / "contour.csv").read_text() == want_contour
         assert load_json(tmp_path / "scan_report.json")["failures"] == want_failures
 
 
-def per_point_scan_tables(model, waveform, gammas, jts, J, tol_eig=DEFAULT_TOL_EIG):
+def per_point_scan_tables(model, waveform, gammas, jts, J):
     """scan_grid.csv, contour.csv and the failures computed one grid point at a time.
 
     Each point gets its own scalar propagator (or Hamiltonian eigensolve,
@@ -607,11 +639,11 @@ def per_point_scan_tables(model, waveform, gammas, jts, J, tol_eig=DEFAULT_TOL_E
             sched = md.build_schedule(model, params(gj, jt))
             if static:
                 h = sched.events[0].generator
-                phase = lv.classify_pt_phase(h, tol_eig)
+                phase = lv.classify_pt_phase(h)
                 measure = np.max(np.abs(np.linalg.eigvals(h).imag))
             else:
                 try:
-                    fp = fl.propagator(sched, tol_eig)
+                    fp = fl.propagator(sched)
                 except NumericalError as exc:
                     failures.append({"gamma_over_j": float(gj), "jt": float(jt), "error": str(exc)})
                     grid.append(f"{float(gj)!r},{float(jt)!r},error,nan")
@@ -626,7 +658,7 @@ def per_point_scan_tables(model, waveform, gammas, jts, J, tol_eig=DEFAULT_TOL_E
         def disc(gj):
             if static:
                 return 1.0 - gj * gj
-            gf = fl.propagator(md.build_schedule(model, params(gj, jt))).gf
+            gf = fl.compose(md.build_schedule(model, params(gj, jt)))
             tr2 = (gf[0, 0] + gf[1, 1]) / 2
             return float((np.linalg.det(gf) - tr2 * tr2).real)
 
@@ -649,7 +681,8 @@ class TestParser:
         assert cli.build_parser() is cli.build_parser()
 
     def test_commands_are_looked_up_per_call(self, monkeypatch):
-        cli.main(["verify", "--tol-override", "1"])
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", [selfcheck.check_vec_round_trip])
+        assert cli.main(["verify"]) == 0
         monkeypatch.setattr(cli, "run_verify", lambda args: 7)
         assert cli.main(["verify"]) == 7
 
@@ -661,13 +694,32 @@ class TestParser:
         assert run(first) == 0
         args = cli.build_parser().parse_args(second)
         assert args.command == "static"
-        assert (args.gamma, args.JT, args.format) == (0.5, 1.0, "csv,json")
-        assert not {"psi0", "periods", "steps_per_period", "grid"} & set(vars(args))
+        assert (args.gamma, args.format) == (0.5, "csv,json")
+        assert not {"JT", "waveform", "psi0", "periods", "steps_per_period", "grid"} & set(vars(args))
         assert run(second) == 0
         cli.build_parser.cache_clear()
         assert run(second[:-1] + [str(tmp_path / "b")]) == 0
         for name in ("static_report.json", "liouvillian_spectrum.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_each_command_has_exactly_the_options_it_reads(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        point = ["--model", "--input", "--gamma", "--J"]
+        drive = point + ["--JT", "--waveform"]
+        output = ["--out", "--format"]
+        pinned = {
+            "static": point + output,
+            "floquet": drive + output,
+            "trace": drive + output + ["--psi0", "--steps-per-period", "--periods"],
+            "scan": ["--model", "--J", "--waveform"] + output + ["--grid"],
+            "verify": [],
+        }
+        assert sum(map(len, pinned.values())) == 31
+        for name, parser in sub.choices.items():
+            options = [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+            assert sorted(options) == sorted(pinned[name]), name
+            listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", parser.format_help())) - {"--help"}
+            assert listed == set(pinned[name]), name
 
 
 class TestDeterminism:
@@ -696,10 +748,18 @@ class TestVerify:
         assert "FAIL" not in cap.out
         assert cap.out.count("[PASS]") >= 10
 
-    def test_unreachable_tolerance_exits_3(self, capsys):
-        code, cap = run(["verify", "--tol-override", "1e-300"], capsys)
+    def test_unreachable_tolerance_exits_3(self, capsys, monkeypatch):
+        def unreachable():
+            return selfcheck.CheckResult.from_measure("unreachable threshold", 1e-12, 1e-300)
+
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", [selfcheck.check_vec_round_trip, unreachable])
+        code, cap = run(["verify"], capsys)
         assert code == 3
-        assert "[FAIL]" in cap.out
+        lines = cap.out.splitlines()
+        assert lines[0].startswith("[PASS] vec/unvec round trip")
+        assert lines[1].startswith("[FAIL] unreachable threshold")
+        assert lines[1].endswith("residual 1.000e-12 (tol 1.0e-300)")
+        assert lines[2:] == ["1/2 checks passed"]
 
 
 def list_form(x):
@@ -728,9 +788,8 @@ def assert_canonical_json(out):
 def per_sample_trace_tables(argv):
     """trace.csv and trace_<label>.dat texts formatted one sample at a time."""
     args = cli.build_parser().parse_args(argv)
-    sched = cli.resolve_schedule(args, periodic=True)
-    fp = fl.propagator(sched, args.tol_eig)
-    ops = fl.floquet_eigen_operators(fp.gf, args.tol_eig, args.tol_rank)
+    sched = cli.resolve_schedule(args)
+    ops = fl.floquet_eigen_operators(fl.compose(sched))
     series = fl.evolve_trace(
         sched, cli.parse_psi0(args.psi0), [e.op for e in ops],
         steps_per_period=args.steps_per_period, periods=args.periods,

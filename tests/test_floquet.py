@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intertwine import floquet as fl
+from intertwine import linalg
 from intertwine import liouville as lv
 from intertwine.linalg import NumericalError, hs_norm, matexp
 from intertwine.liouville import PTPhase
@@ -167,21 +168,22 @@ class TestBatchedPropagator:
         with pytest.raises(OverflowError):
             fl.propagator(one)
 
-    def test_eig_failures_are_recorded_per_point(self):
+    def test_eig_failures_are_recorded_per_point(self, monkeypatch):
+        monkeypatch.setattr(linalg, "TOL_EIG", 3e-16)
         g, t = _grid_points(Waveform.SQUARE_WAVE)
         sched = build_schedule(Model.QUANTUM, DimerParams(gamma=g, T=t, waveform=Waveform.SQUARE_WAVE))
-        fp = fl.propagator(sched, tol_eig=3e-16)
+        fp = fl.propagator(sched)
         failed = fp.failed != ""
         assert failed.any() and not failed.all()
         for idx in np.ndindex(g.shape):
             p = DimerParams(gamma=float(g[idx]), T=float(t[idx]), waveform=Waveform.SQUARE_WAVE)
             if failed[idx]:
                 with pytest.raises(NumericalError) as exc:
-                    fl.propagator(build_schedule(Model.QUANTUM, p), tol_eig=3e-16)
+                    fl.propagator(build_schedule(Model.QUANTUM, p))
                 assert fp.failed[idx] == str(exc.value)
                 assert np.array_equal(fp.kappa.eigenvalues[idx], [1, 1])
             else:
-                one = fl.propagator(build_schedule(Model.QUANTUM, p), tol_eig=3e-16)
+                one = fl.propagator(build_schedule(Model.QUANTUM, p))
                 assert np.array_equal(fp.kappa.eigenvectors[idx], one.kappa.eigenvectors)
                 assert fp.phase[idx] is one.phase
 

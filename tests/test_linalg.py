@@ -139,10 +139,6 @@ class TestEig:
             piv = col[np.argmax(np.abs(col))]
             assert piv.real >= 0 and abs(piv.imag) < 1e-12
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            linalg.eig(SIGMA_X, tol_eig=0.0)
-
     @pytest.mark.parametrize("n", [2, 5])
     def test_stack_equals_per_matrix_calls(self, rng, n):
         a = random_complex(rng, 3, 4, n, n)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from intertwine import liouville as lv
-from intertwine.linalg import DEFAULT_TOL_EIG, DEFAULT_TOL_RANK, eig, hs_norm, matexp
+from intertwine.linalg import TOL_EIG, TOL_RANK, eig, hs_norm, matexp
 from intertwine.models import (
     ID2,
     SIGMA_X,
@@ -248,7 +248,7 @@ class TestRankOnePath:
         for e in ops:
             direct = hs_norm(lv.apply_liouvillian(h, e.op) - e.rate * e.op)
             assert e.residual == pytest.approx(direct, rel=1e-6, abs=1e-30)
-            assert e.residual <= DEFAULT_TOL_EIG * lnorm
+            assert e.residual <= TOL_EIG * lnorm
             assert hs_norm(e.op) == pytest.approx(1.0, abs=1e-12)
         assert all(e.hermitian and e.rate == 0 for e in fast.conserved)
         s = np.linalg.svd(np.column_stack([vec(e.op) for e in ops]), compute_uv=False)
@@ -261,7 +261,7 @@ class TestRankOnePath:
     def test_exceptional_point_sweep(self, hamiltonian, sign, k):
         h = hamiltonian(1.0, 1.0 + sign * 10.0**-k)
         res = lv.eigen_operators(h)
-        near_ep = np.linalg.cond(eig(h).eigenvectors) ** 2 > 1.0 / DEFAULT_TOL_RANK
+        near_ep = np.linalg.cond(eig(h).eigenvectors) ** 2 > 1.0 / TOL_RANK
         assert res.path == ("kronecker" if near_ep else "rank-1")
         if res.path == "rank-1":
             assert len(res.conserved) + len(res.transient) == 4
