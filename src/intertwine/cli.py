@@ -5,13 +5,16 @@ builtin dimer model or a JSON file (complex numbers as [re, im] pairs,
 matrices row-major, schedules as an ordered event list).  Outputs are
 deterministic CSV/JSON plus optional gnuplot scripts.
 
-Each command takes only the options it reads (``build_parser``); the
-tolerances are ``linalg.TOL_EIG`` and ``linalg.TOL_RANK``, not options.
+Each command takes only the options it reads, each parsed, checked and
+converted by its type in ``build_parser``.  ``--gamma``, ``--J`` and
+``--waveform`` are read only with ``--model``; ``--JT`` with ``--model``
+or a raw matrix.  The tolerances are ``linalg.TOL_EIG`` and
+``linalg.TOL_RANK``, not options.
 
 Exit codes: 0 success, 1 config error (an option that does not parse,
-or is unknown to its command, included), 2 numerical failure (including
-a result that cannot be written as finite numbers), 3 verify-suite
-failure.
+is unknown to its command or is not read by its source, included),
+2 numerical failure (including a result that cannot be written as
+finite numbers), 3 verify-suite failure.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .linalg import (
 )
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A config error (exit 1); as an option's type, argparse reports its message as it is."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,49 +210,37 @@ def parse_grid(text: str):
 # config resolution
 
 
-def _check_options(args) -> None:
-    """Reject numerical options outside their domain, before anything is computed or written."""
-    for name in ("steps_per_period", "periods"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+def _positive(kind, text: str):
+    """The type of --J (``kind`` float) and of --steps-per-period and --periods (int)."""
+    with contextlib.suppress(ValueError):
+        if 0 < (value := kind(text)) < np.inf:
+            return value
+    raise ConfigError(f"{text!r} is not a positive finite {kind.__name__}")
 
 
-def _model_from_args(args) -> md.Model:
-    names = {m.value: m for m in md.Model}
-    if args.model not in names:
-        raise ConfigError(
-            f"unknown model {args.model!r}; available: {', '.join(sorted(names))}"
-        )
-    return names[args.model]
+def _formats(writes: str, text: str) -> set[str]:
+    """The --format type of a command that writes the formats `writes`: a non-empty subset of them."""
+    fmts = {f.strip() for f in text.split(",") if f.strip()}
+    if not fmts or not fmts <= set(writes.split(",")):
+        raise ConfigError(f"{text!r} is not a non-empty subset of {writes}")
+    return fmts
 
 
-def _waveform_from_args(args, default: md.Waveform) -> md.Waveform:
-    if args.waveform is None:
-        return default
-    names = {w.value: w for w in md.Waveform}
-    if args.waveform not in names:
-        raise ConfigError(f"unknown waveform {args.waveform!r}")
-    return names[args.waveform]
-
-
-def _dimer_schedule(args, model: md.Model, waveform: md.Waveform, gamma_over_j, jt) -> fl.Schedule:
-    """The dimer's schedule at --J and the dimensionless gamma/J and JT."""
-    if not 0.0 < args.J < np.inf:
-        raise ConfigError("J must be positive and finite")
+def _dimer_schedule(args, waveform: md.Waveform, gamma_over_j, jt) -> fl.Schedule:
+    """``models.dimer_schedule`` of --model at --J; an invalid dimer is a config error."""
     try:
-        p = md.DimerParams(J=args.J, gamma=gamma_over_j * args.J, T=jt / args.J, waveform=waveform)
-        return md.build_schedule(model, p)
+        return md.dimer_schedule(args.model, waveform, args.J, gamma_over_j, jt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _input_object(args) -> dict | None:
-    """The --input JSON object, or None for --model; exactly one source required."""
-    if (args.model is None) == (args.input is None):
-        raise ConfigError("provide exactly one of --model or --input")
+    """The --input JSON object, or None for --model."""
     if args.input is None:
         return None
+    unread = [f"--{name}" for name in ("gamma", "J", "waveform") if getattr(args, name, None) is not None]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: read only with --model, not with --input")
     try:
         with open(args.input) as f:
             obj = json.load(f)
@@ -266,15 +257,16 @@ def resolve_schedule(args) -> fl.Schedule:
     """The periodic drive: the model's at --JT and --waveform, or --input's (a raw matrix lasts --JT)."""
     obj = _input_object(args)
     if obj is None:
-        model = _model_from_args(args)
-        waveform = _waveform_from_args(args, model.periodic_waveform)
-        return _dimer_schedule(args, model, waveform, args.gamma, args.JT)
+        return _dimer_schedule(args, args.waveform or args.model.periodic_waveform, args.gamma, args.JT)
     if "matrix" in obj:
         h = parse_matrix(obj["matrix"])
+        jt = 1.0 if args.JT is None else args.JT
         try:
-            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(args.JT, h)])
+            return fl.Schedule(dim=h.shape[0], events=[fl.Segment(jt, h)])
         except ValueError as exc:
-            raise ConfigError(f"--JT {args.JT!r}: {exc}") from exc
+            raise ConfigError(f"--JT {jt!r}: {exc}") from exc
+    if args.JT is not None:
+        raise ConfigError("--JT: a schedule file sets its own period")
     return parse_schedule(obj)
 
 
@@ -282,8 +274,7 @@ def resolve_static_hamiltonian(args) -> np.ndarray:
     """H of --model's static dimer, or of --input's raw matrix or one-segment schedule."""
     obj = _input_object(args)
     if obj is None:
-        sched = _dimer_schedule(args, _model_from_args(args), md.Waveform.STATIC, args.gamma, 1.0)
-        return sched.events[0].generator
+        return _dimer_schedule(args, md.Waveform.STATIC, args.gamma, None).events[0].generator
     if "matrix" in obj:
         return parse_matrix(obj["matrix"])
     sched = parse_schedule(obj)
@@ -299,14 +290,6 @@ def _outdir(args) -> Path:
     except OSError as exc:  # an existing file, or a path under one
         raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
     return out
-
-
-def _formats(args) -> set[str]:
-    fmts = {f.strip() for f in args.format.split(",") if f.strip()}
-    unknown = fmts - {"csv", "json", "gnuplot"}
-    if unknown:
-        raise ConfigError(f"unknown output formats: {', '.join(sorted(unknown))}")
-    return fmts
 
 
 def _operator_records(ops: list[lv.EigenOperator]) -> list[dict]:
@@ -330,11 +313,10 @@ def _operator_records(ops: list[lv.EigenOperator]) -> list[dict]:
 
 def run_static(args) -> int:
     h = resolve_static_hamiltonian(args)
-    fmts = _formats(args)
     out = _outdir(args)
     result = lv.eigen_operators(h)
     phase = result.pt_phase
-    if "json" in fmts:
+    if "json" in args.format:
         _write_json(
             out / "static_report.json",
             {
@@ -347,7 +329,7 @@ def run_static(args) -> int:
                 "operators": _operator_records(result.conserved + result.transient),
             },
         )
-    if "csv" in fmts:
+    if "csv" in args.format:
         computed = np.sort_complex(result.computed_eigenvalues)
         predicted = np.sort_complex(lv.pair_rates(result.hamiltonian_spectrum.eigenvalues))
         _write_table(
@@ -384,13 +366,12 @@ def _floquet_report(sched: fl.Schedule, fp: fl.FloquetPropagator, ops: list) -> 
 
 def run_floquet(args) -> int:
     sched = resolve_schedule(args)
-    fmts = _formats(args)
     out = _outdir(args)
     fp = fl.propagator(sched)
     ops = fl.floquet_eigen_operators(fp.gf)
-    if "json" in fmts:
+    if "json" in args.format:
         _write_json(out / "floquet_report.json", _floquet_report(sched, fp, ops))
-    if "csv" in fmts:
+    if "csv" in args.format:
         lam = np.array([e.rate for e in ops], dtype=complex)
         _write_table(
             out / "floquet_multipliers.csv",
@@ -410,8 +391,7 @@ def run_floquet(args) -> int:
 
 def run_trace(args) -> int:
     sched = resolve_schedule(args)
-    fmts = _formats(args)
-    psi0 = parse_psi0(args.psi0) if args.psi0 else _default_psi0(sched.dim)
+    psi0 = np.ones(sched.dim, dtype=complex) / np.sqrt(sched.dim) if args.psi0 is None else args.psi0
     if psi0.size != sched.dim:
         raise ConfigError(f"psi0 has {psi0.size} entries, expected {sched.dim}")
     out = _outdir(args)
@@ -424,7 +404,7 @@ def run_trace(args) -> int:
     # lambda^t on every sample; the writers refuse it where it overflows
     with np.errstate(over="ignore"):
         ref = np.exp(np.log(rates)[:, None] * series.times)
-    if "csv" in fmts:
+    if "csv" in args.format:
         n_ops, n_times = series.values.shape
         strobe = np.zeros(n_times, dtype=int)
         strobe[series.stroboscopic_indices] = 1
@@ -443,7 +423,7 @@ def run_trace(args) -> int:
                 np.repeat(np.array(series.normalized, dtype=int), n_times),
             ],
         )
-    if "json" in fmts:
+    if "json" in args.format:
         _write_json(
             out / "trace_report.json",
             {
@@ -456,15 +436,11 @@ def run_trace(args) -> int:
                 "steps_per_period": args.steps_per_period,
             },
         )
-    if "gnuplot" in fmts:
+    if "gnuplot" in args.format:
         _write_gnuplot(out, series, labels, ref)
     print(f"trace: {len(labels)} operators, "
           f"{series.times.size} samples over {args.periods} periods")
     return 0
-
-
-def _default_psi0(dim: int) -> np.ndarray:
-    return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
 def _write_gnuplot(out: Path, series: fl.TraceSeries, labels: list[str], ref: np.ndarray) -> None:
@@ -493,9 +469,9 @@ def _write_gnuplot(out: Path, series: fl.TraceSeries, labels: list[str], ref: np
     (out / "trace.gp").write_text("\n".join(script) + "\n")
 
 
-def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray):
-    """Per point of a batched dimer schedule, axes (JT, gamma/J = ``gammas``): PT
-    phase, measure, discriminant and failure cause.
+def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, disc, gammas: np.ndarray, jts: np.ndarray):
+    """Per point of a batched dimer schedule, axes (JT = ``jts``, gamma/J = ``gammas``):
+    PT phase, measure, discriminant and failure cause.
 
     The measure is the kappa ratio max|kappa|/min|kappa| of a periodic
     drive and max|Im eps| of a static one.  A failed point has a nonempty
@@ -504,7 +480,7 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray):
     no eigensolve, so a point that failed only the eigensolver's contract
     or that rounding test keeps it; it is NaN where the product or the
     kappa ratio is not finite, and the contour skips the intervals
-    touching such a point.
+    touching such a point.  A static drive's discriminant is ``disc``.
     """
     shape = sched.batch_shape
     # overflow is recorded per point, not warned about
@@ -514,8 +490,7 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray):
             w, v = np.linalg.eig(h)
             phase = lv.hamiltonian_phase(h, w, v)
             measure = np.max(np.abs(w.imag), axis=-1)
-            # both builtin static dimers break PT at gamma = J
-            values = 1.0 - gammas * gammas
+            values = disc(gammas, jts[:, None])
             failed = np.full(shape, "", dtype=object)
         else:
             fp = fl.propagator(sched)
@@ -535,22 +510,19 @@ def _scan_grid(sched: fl.Schedule, waveform: md.Waveform, gammas: np.ndarray):
 
 
 def run_scan(args) -> int:
-    if args.model is None:
-        raise ConfigError("scan mode requires --model")
-    model = _model_from_args(args)
-    waveform = _waveform_from_args(args, model.periodic_waveform)
-    gammas, jts = parse_grid(args.grid)
+    waveform = args.waveform or args.model.periodic_waveform
+    gammas, jts = args.grid
     # one batched schedule, axes (jt, gamma); building it validates every point
-    sched = _dimer_schedule(args, model, waveform, gammas, jts[:, None])
-    fmts = _formats(args)
+    sched = _dimer_schedule(args, waveform, gammas, jts[:, None])
     out = _outdir(args)
 
-    phase, measure, values, failed = _scan_grid(sched, waveform, gammas)
+    disc = functools.partial(md.ep_indicator, args.model, waveform, args.J)
+    phase, measure, values, failed = _scan_grid(sched, waveform, disc, gammas, jts)
 
     ok = (failed == "").ravel()
     failures = [{"gamma_over_j": float(gammas[k]), "jt": float(jts[i]), "error": failed[i, k]}
                 for i, k in np.argwhere(failed != "")]
-    if "csv" in fmts:
+    if "csv" in args.format:
         _write_table(
             out / "scan_grid.csv",
             "gamma_over_j,jt,phase,kappa_ratio",
@@ -562,38 +534,21 @@ def run_scan(args) -> int:
                 np.where(ok, measure.ravel(), np.nan).tolist(),
             ],
         )
-
-    def disc(gj, jt):
-        if waveform is md.Waveform.STATIC:
-            return 1.0 - gj * gj
-        p = md.DimerParams(J=args.J, gamma=gj * args.J, T=jt / args.J, waveform=waveform)
-        return md.numerical_discriminant(model, p)
-
-    def analytic(jt):
-        if waveform is md.Waveform.STATIC:
-            return 1.0
-        if waveform is md.Waveform.DELTA_KICKS and model is md.Model.CLASSICAL:
-            try:
-                return md.classical_ep_gamma(jt)
-            except ValueError:
-                pass
-        return None
-
-    contour = [(root, jt, analytic(jt))
+    contour = [(root, jt, md.analytic_ep_gamma(args.model, waveform, jt))
                for root, jt in md.contour_roots(disc, gammas, values, jts, xtol=1e-10, floor=1e-9)]
-    if "csv" in fmts:
+    if "csv" in args.format:
         _write_table(
             out / "contour.csv",
             "gamma_over_j,jt,analytic_gamma_over_j",
             [np.array([c[0] for c in contour]), np.array([c[1] for c in contour]),
              ["" if ana is None else ana for _, _, ana in contour]],
         )
-    if "json" in fmts:
+    if "json" in args.format:
         _write_json(
             out / "scan_report.json",
             {
                 "mode": "scan",
-                "model": model.value,
+                "model": args.model.value,
                 "waveform": waveform.value,
                 "grid": {"gamma_over_j": gammas, "jt": jts},
                 "contour": [
@@ -645,30 +600,36 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="phase diagram over (gamma/J, JT)")
     sub.add_parser("verify", help="run the built-in invariant suite")
 
-    # each option goes to the commands that read it
+    # each option goes to the commands that read it, and its type checks it; the
+    # options of the dimer point default to None, which models.dimer_params fills in
     def add(parsers, flag: str, **kwargs):
         for p in parsers:
             p.add_argument(flag, **kwargs)
 
-    add((static, floquet, trace, scan), "--model", help="builtin model: quantum-dimer | classical-dimer")
-    add((static, floquet, trace), "--input", help="JSON input file (raw matrix or schedule)")
-    add((static, floquet, trace), "--gamma", type=float, default=0.5, help="gain-loss strength in units of J")
-    add((static, floquet, trace, scan), "--J", type=float, default=1.0, help="coupling")
-    add((floquet, trace), "--JT", type=float, default=1.0, help="period in units of 1/J")
-    add((floquet, trace, scan), "--waveform", help="static | square | kicks")
+    sources = [p.add_mutually_exclusive_group(required=True) for p in (static, floquet, trace)]
+    for p in (*sources, scan):  # scan has no --input, so --model is required there
+        p.add_argument("--model", type=md.Model, required=p is scan,
+                       help="builtin model: quantum-dimer | classical-dimer")
+    add(sources, "--input", help="JSON input file (raw matrix or schedule)")
+    add((static, floquet, trace), "--gamma", type=float, help="gain-loss strength in units of J")
+    add((static, floquet, trace, scan), "--J", type=functools.partial(_positive, float), help="coupling")
+    add((floquet, trace), "--JT", type=float, help="period in units of 1/J")
+    add((floquet, trace, scan), "--waveform", type=md.Waveform, help="static | square | kicks")
     add((static, floquet, trace, scan), "--out", default="out", help="output directory")
-    add((static, floquet, trace, scan), "--format", default="csv,json", help="subset of csv,json,gnuplot")
-    trace.add_argument("--psi0", help="initial state as 're,im;re,im'")
-    trace.add_argument("--steps-per-period", type=int, default=200)
-    trace.add_argument("--periods", type=int, default=10)
-    scan.add_argument("--grid", default="0:2:21,0.2:3:15", help="gmin:gmax:n,tmin:tmax:n")
+    for p in (static, floquet, trace, scan):
+        writes = "csv,json,gnuplot" if p is trace else "csv,json"
+        p.add_argument("--format", type=functools.partial(_formats, writes), default="csv,json",
+                       help=f"subset of {writes}")
+    trace.add_argument("--psi0", type=parse_psi0, help="initial state as 're,im;re,im'")
+    trace.add_argument("--steps-per-period", type=functools.partial(_positive, int), default=200)
+    trace.add_argument("--periods", type=functools.partial(_positive, int), default=10)
+    scan.add_argument("--grid", type=parse_grid, default="0:2:21,0.2:3:15", help="gmin:gmax:n,tmin:tmax:n")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_options(args)
         # looked up per call, so the cached parser holds no command function
         return globals()[f"run_{args.command}"](args)
     except ConfigError as exc:

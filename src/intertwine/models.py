@@ -9,11 +9,15 @@ Both models live on N=2:
 
 The closed forms here (eta_pm, propagator coefficients, EP contours)
 serve as independent oracles for the numerical machinery.
+
+The dimers' EP map lives here: ``dimer_params`` (the (J, gamma/J, JT)
+convention and its defaults), ``ep_indicator`` and ``analytic_ep_gamma``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +130,19 @@ def classical_dimer(p: DimerParams) -> Schedule:
 def build_schedule(model: Model, p: DimerParams) -> Schedule:
     """The model's schedule, batched over the broadcast shape of p.gamma and p.T."""
     return quantum_dimer(p) if model is Model.QUANTUM else classical_dimer(p)
+
+
+def dimer_params(waveform: Waveform, J=None, gamma_over_j=None, jt=None) -> DimerParams:
+    """The dimer at coupling J > 0, gain-loss gamma/J and period JT; None is J = 1, gamma/J = 0.5, JT = 1."""
+    J = 1.0 if J is None else J
+    gamma_over_j = 0.5 if gamma_over_j is None else gamma_over_j
+    jt = 1.0 if jt is None else jt
+    return DimerParams(J=J, gamma=gamma_over_j * J, T=jt / J, waveform=waveform)
+
+
+def dimer_schedule(model: Model, waveform: Waveform, J=None, gamma_over_j=None, jt=None) -> Schedule:
+    """The model's schedule at ``dimer_params(waveform, J, gamma_over_j, jt)``."""
+    return build_schedule(model, dimer_params(waveform, J, gamma_over_j, jt))
 
 
 def analytic_eta_pm(model: Model, p: DimerParams):
@@ -263,6 +280,29 @@ def numerical_discriminant(model: Model, p: DimerParams):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def ep_indicator(model: Model, waveform: Waveform, J, gamma_over_j, jt):
+    """The PT indicator at coupling J, batched over gamma/J and JT: > 0 symmetric, < 0 broken, 0 on the EP.
+
+    For a periodic drive it is ``numerical_discriminant``; for the static
+    drive, 1 - (gamma/J)^2, since both static dimers break PT at gamma = J.
+    """
+    if waveform is Waveform.STATIC:
+        return 1.0 - gamma_over_j * gamma_over_j
+    return numerical_discriminant(model, dimer_params(waveform, J, gamma_over_j, jt))
+
+
+def analytic_ep_gamma(model: Model, waveform: Waveform, jt: float) -> float | None:
+    """The closed-form EP contour gamma/J at JT, or None where there is none."""
+    if waveform is Waveform.STATIC:
+        return 1.0
+    if waveform is Waveform.DELTA_KICKS and model is Model.CLASSICAL:
+        try:
+            return classical_ep_gamma(jt)
+        except ValueError:
+            pass
+    return None
+
+
 # brentq's default relative tolerance
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -377,18 +417,15 @@ def ep_contour(
     gamma_bracket: tuple[float, float] = (1e-6, 4.0),
     tol: float = 1e-10,
 ) -> list[tuple[float, float]]:
-    """EP contour points (gamma/J, JT) by Brent's method on the numerical discriminant, all JT at once.
+    """EP contour points (gamma/J, JT) of the periodic drive by Brent's method on
+    ``ep_indicator`` at J = 1, all JT at once.
 
     The bracket is a two-point grid for ``contour_roots``.  Raises when
     the bracket shows no sign change for some row.
     """
     jts = np.asarray(jt_values, dtype=float)
     gammas = np.asarray(gamma_bracket, dtype=float)
-
-    def disc(gamma_over_j, jt):  # at J = 1
-        p = DimerParams(gamma=gamma_over_j, T=jt, waveform=model.periodic_waveform)
-        return numerical_discriminant(model, p)
-
+    disc = functools.partial(ep_indicator, model, model.periodic_waveform, 1.0)
     values = disc(np.broadcast_to(gammas, (jts.size, 2)), jts[:, None])
     points = contour_roots(disc, gammas, values, jts, tol)
     found = {jt for _, jt in points}

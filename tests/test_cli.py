@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import re
 import shlex
@@ -18,6 +19,8 @@ from intertwine.linalg import NumericalError
 
 
 DATA = Path(__file__).resolve().parent / "data"
+H4 = str(DATA / "golden" / "h4.json")  # a raw matrix
+KICKED3 = str(DATA / "golden" / "kicked3.json")  # a schedule file
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -257,6 +260,33 @@ class TestConfigErrors:
         assert code == 1
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a command accepts only the formats it writes, and at least one
+            ["static", "--model", "quantum-dimer", "--format", "gnuplot"],
+            ["floquet", "--model", "quantum-dimer", "--format", "csv,gnuplot"],
+            ["scan", "--model", "quantum-dimer", "--grid", "0:1:3,0.5:1:2", "--format", "gnuplot"],
+            *[[command, "--model", "quantum-dimer", "--format", ","]
+              for command in ("static", "floquet", "trace", "scan")],
+            ["trace", "--model", "quantum-dimer", "--psi0", ""],
+            # options the source does not read
+            ["floquet", "--input", H4, "--waveform", "kicks", "--gamma", "7"],
+            ["static", "--input", H4, "--gamma", "0.5"],
+            ["static", "--input", H4, "--J", "1"],
+            ["trace", "--input", H4, "--waveform", "square"],
+            ["floquet", "--input", KICKED3, "--JT", "2"],
+            ["trace", "--input", KICKED3, "--JT", "1"],
+        ],
+        ids=lambda argv: " ".join(Path(a).name if a.endswith(".json") else a for a in argv),
+    )
+    def test_ignored_or_unwritable_option_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, captured = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert captured.err.startswith("config error:")
         assert not out.exists()
 
     def test_help_exits_0(self, capsys):
@@ -694,7 +724,8 @@ class TestParser:
         assert run(first) == 0
         args = cli.build_parser().parse_args(second)
         assert args.command == "static"
-        assert (args.gamma, args.format) == (0.5, "csv,json")
+        # gamma is unset (models.dimer_params fills in 0.5); --format is the parsed default
+        assert (args.gamma, args.format) == (None, {"csv", "json"})
         assert not {"JT", "waveform", "psi0", "periods", "steps_per_period", "grid"} & set(vars(args))
         assert run(second) == 0
         cli.build_parser.cache_clear()
@@ -791,7 +822,7 @@ def per_sample_trace_tables(argv):
     sched = cli.resolve_schedule(args)
     ops = fl.floquet_eigen_operators(fl.compose(sched))
     series = fl.evolve_trace(
-        sched, cli.parse_psi0(args.psi0), [e.op for e in ops],
+        sched, args.psi0, [e.op for e in ops],
         steps_per_period=args.steps_per_period, periods=args.periods,
     )
     r = lambda x: repr(float(x))  # noqa: E731
@@ -887,7 +918,40 @@ def readme_commands():
     return [argv[1:] for argv in lines if argv[:1] == ["intertwine"]]
 
 
+def readme_option_table():
+    """Per command, the option cells of README's table under "Command line": lists of `...` spans."""
+    section = README.read_text().split("## Command line", 1)[1]
+    rows = [line.strip().strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip().strip("`"): [re.findall(r"`([^`]+)`", c) for c in cells[1:]] for cells in rows}
+
+
 class TestReadme:
+    def test_option_table_matches_the_parser(self, tmp_path, capsys):
+        table = readme_option_table()
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(table) == sorted(sub.choices)
+        for name, parser in sub.choices.items():
+            sources, model_only, other, formats = table[name]
+            actions = {o: a for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+            assert sorted(sources + model_only + other) == sorted(actions), name
+            # the source is a required --model/--input pair, or a required --model
+            exclusive = [sorted(o for a in g._group_actions for o in a.option_strings)
+                         for g in parser._mutually_exclusive_groups if g.required]
+            required = sorted(o for o, a in actions.items() if a.required)
+            assert sorted(sources) == (exclusive[0] if exclusive else required), name
+            # each command's formats are exactly those its --format type accepts
+            accepted = []
+            for fmt in ("csv", "json", "gnuplot", "xml") if "--format" in actions else ():
+                with contextlib.suppress(cli.ConfigError):
+                    actions["--format"].type(fmt)
+                    accepted.append(fmt)
+            assert formats == ([",".join(accepted)] if accepted else []), name
+            if "--input" in sources:
+                for option in model_only:
+                    value = "static" if actions[option].type is md.Waveform else "1"
+                    code, captured = run([name, "--input", H4, option, value, "--out", str(tmp_path)], capsys)
+                    assert code == 1 and "read only with --model" in captured.err, (name, option)
+
     def test_every_command_has_an_example(self):
         assert sorted(argv[0] for argv in readme_commands()) == ["floquet", "scan", "static", "trace", "verify"]
 

@@ -210,6 +210,37 @@ class TestEPContour:
                 p = md.DimerParams(gamma=g[i, k], T=t[i, 0], waveform=wf)
                 assert got[i, k] == md.numerical_discriminant(model, p)
 
+    @pytest.mark.parametrize("model", list(md.Model))
+    def test_ep_indicator_has_the_bits_of_the_dimer_params_it_replaces(self, model):
+        g = np.linspace(0.0, 2.4, 25)[None, :]
+        t = np.linspace(0.3, 3.3, 13)[:, None]
+        wf = model.periodic_waveform
+        cases = [
+            # ep_contour's construction: J = 1 by DimerParams' default
+            (1.0, md.DimerParams(gamma=g, T=t, waveform=wf)),
+            (None, md.DimerParams(gamma=g, T=t, waveform=wf)),
+            # scan's at --J 2
+            (2.0, md.DimerParams(J=2.0, gamma=g * 2.0, T=t / 2.0, waveform=wf)),
+        ]
+        for J, p in cases:
+            got = md.ep_indicator(model, wf, J, g, t)
+            assert got.tobytes() == md.numerical_discriminant(model, p).tobytes(), J
+            for i, k in [(0, 0), (5, 7), (12, 24)]:
+                scalar = md.ep_indicator(model, wf, J, g[0, k], t[i, 0])
+                assert np.float64(scalar).tobytes() == got[i, k].tobytes()
+        # the static drive, at any J and JT
+        for J in (1.0, 2.0):
+            got = np.broadcast_to(md.ep_indicator(model, md.Waveform.STATIC, J, g, t), (13, 25))
+            assert got.tobytes() == np.broadcast_to(1.0 - g * g, (13, 25)).tobytes()
+
+    def test_analytic_ep_gamma(self):
+        for model in md.Model:
+            assert md.analytic_ep_gamma(model, md.Waveform.STATIC, 1.3) == 1.0
+        assert md.analytic_ep_gamma(md.Model.CLASSICAL, md.Waveform.DELTA_KICKS, 1.3) == md.classical_ep_gamma(1.3)
+        # cos(JT/2) <= 0: the kicked dimer has no EP at this JT
+        assert md.analytic_ep_gamma(md.Model.CLASSICAL, md.Waveform.DELTA_KICKS, 4.0) is None
+        assert md.analytic_ep_gamma(md.Model.QUANTUM, md.Waveform.SQUARE_WAVE, 1.3) is None
+
     def test_contour_roots_skip_failed_and_unchanged_intervals(self):
         gammas = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
 
