@@ -23,10 +23,12 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import floquet as fl
 from . import liouville as lv
@@ -49,10 +51,29 @@ class ConfigError(ValueError, argparse.ArgumentTypeError):
 # serialization helpers
 
 
-def _require_finite(path: Path, values) -> None:
-    """Refuse to write `path` when any of `values` is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
+def _require_finite(path: Path, finite: bool) -> None:
+    """Refuse to write `path` unless the finite check of its result holds."""
+    if not finite:
         raise NumericalError(f"{path}: result is not finite, file not written")
+
+
+def _float_texts(path: Path, a: np.ndarray) -> list[str]:
+    """`a`'s entries as repr writes them, in C order; NumericalError if one is not finite.
+
+    orjson's Ryu formatter gives repr's shortest round-trip digits but lays
+    out nonzero |x| < 1e-4 and |x| >= 1e16 otherwise; those take repr.
+    """
+    flat = a.ravel()
+    _require_finite(path, np.isfinite(flat).all())
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(flat)
+    odd = np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16))
+    for i, x in zip(odd.tolist(), flat[odd].tolist()):
+        texts[i] = repr(x)
+    return texts if flat.size else []
+
+
+_key_text = functools.lru_cache(json.dumps)  # the reports have a few dozen distinct keys
 
 
 def _json_text(x, depth: int, path: Path) -> str:
@@ -67,12 +88,12 @@ def _json_text(x, depth: int, path: Path) -> str:
     if isinstance(x, complex):
         x = [x.real, x.imag]
     if isinstance(x, dict):
-        items = [f"{json.dumps(k)}: {_json_text(x[k], depth + 1, path)}" for k in sorted(x)]
+        items = [f"{_key_text(k)}: {_json_text(x[k], depth + 1, path)}" for k in sorted(x)]
         return _json_block("{", items, "}", depth)
     if isinstance(x, (list, tuple)):
         return _json_block("[", [_json_text(v, depth + 1, path) for v in x], "]", depth)
     if isinstance(x, float):
-        _require_finite(path, x)
+        _require_finite(path, math.isfinite(x))
         return float.__repr__(x)
     return json.dumps(x)
 
@@ -88,8 +109,7 @@ def _json_array(a: np.ndarray, depth: int, path: Path) -> str:
     """A non-empty float or complex array, formatted one axis at a time from the innermost."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
-    _require_finite(path, a)
-    texts = list(map(repr, a.ravel().tolist()))
+    texts = _float_texts(path, a)
     for axis in reversed(range(a.ndim)):
         n = a.shape[axis]
         inner = "\n" + "  " * (depth + axis + 1)
@@ -111,8 +131,7 @@ def _write_table(path: Path, header: str, columns, sep: str = ",") -> None:
     texts = []
     for col in columns:
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            _require_finite(path, col)
-            texts.append(map(repr, col.tolist()))
+            texts.append(_float_texts(path, col))
         else:
             texts.append(map(str, col))
     path.write_text("\n".join([header, *map(sep.join, zip(*texts))]) + "\n")

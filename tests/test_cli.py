@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_pt_symmetric
 from intertwine import cli, linalg, selfcheck
@@ -22,6 +25,15 @@ DATA = Path(__file__).resolve().parent / "data"
 H4 = str(DATA / "golden" / "h4.json")  # a raw matrix
 KICKED3 = str(DATA / "golden" / "kicked3.json")  # a schedule file
 README = Path(__file__).resolve().parents[1] / "README.md"
+# where repr's layout and orjson's may differ: subnormal, smallest normal,
+# either side of 1e-4 and 1e16, largest finite
+FLOAT_EDGES = [0.0, -0.0] + [
+    s * x
+    for x in (5e-324, 2.2250738585072014e-308, float(np.nextafter(1e-4, 0)), 1e-4,
+              float(np.nextafter(1e16, 0)), 1e16, 1.7976931348623157e308)
+    for s in (1, -1)
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FLOAT_EDGES)
 
 
 def run(args, capsys=None):
@@ -889,14 +901,34 @@ class TestOutputBytes:
         assert run(command[:1] + ["--model", model] + command[1:] + ["--out", str(tmp_path)]) == 0
         assert_canonical_json(tmp_path)
 
+    @pytest.mark.parametrize("n", [4, 16])
     @pytest.mark.parametrize("command", [["static"], ["floquet", "--JT", "0.7"]])
-    def test_random_input_json_is_canonical(self, tmp_path, command):
-        h = random_pt_symmetric(np.random.default_rng(7), 4)
+    def test_random_input_json_is_canonical(self, tmp_path, command, n):
+        h = random_pt_symmetric(np.random.default_rng(7), n)
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in h]}))
         out = tmp_path / "out"
         assert run(command + ["--input", str(path), "--out", str(out)]) == 0
         assert_canonical_json(out)
+        if n == 16:  # the report mixes orjson's and repr's tokens
+            report = (out / f"{command[0]}_report.json").read_text()
+            assert re.search(r"\de-0[5-9]", report) and re.search(r"\d\.\d", report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=7), elements=FINITE))
+    def test_float_texts_are_repr(self, a):
+        path = Path("report.json")
+        for view in (a, a[::2], a.T, a.ravel()[-1:]):
+            assert cli._float_texts(path, view) == [repr(x) for x in view.ravel().tolist()]
+
+    def test_table_of_strided_column_is_repr(self, tmp_path):
+        col = np.array(FLOAT_EDGES + [0.1, -2.5, 1e15, 123456.789])[::-2]
+        path = tmp_path / "t.csv"
+        cli._write_table(path, "x,k", [col, range(col.size)])
+        rows = [f"{x!r},{k}" for k, x in enumerate(col.tolist())]
+        assert path.read_text() == "\n".join(["x,k", *rows]) + "\n"
+        cli._write_table(path, "x", [col[:0]])
+        assert path.read_text() == "x\n"
 
     @pytest.mark.parametrize("model", ["quantum-dimer", "classical-dimer"])
     def test_trace_tables_match_per_sample_formatting(self, tmp_path, model):
