@@ -3,6 +3,8 @@
 All routines operate on square (or rectangular, where noted) complex
 matrices stored as numpy arrays of dtype complex128.  They are thin,
 contract-enforcing wrappers around LAPACK-backed numpy/scipy routines.
+scipy.linalg is imported inside ``matexp`` and ``null_space``, the only
+two callers, so importing the package loads no scipy.
 
 The package's tolerance policy is two constants, read at call time:
 ``TOL_EIG`` cuts the residuals of ``eig`` (||A v - lambda v|| <=
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 TOL_EIG = 1e-9
 TOL_RANK = 1e-9
@@ -98,6 +99,8 @@ def matexp(a) -> np.ndarray:
     exponential is not finite raises OverflowError; in a stack such a
     slice is left as computed, for the caller to mask.  Neither warns.
     """
+    import scipy.linalg
+
     a = _require_square(as_matrix(a, batched=True))
     with np.errstate(over="ignore", invalid="ignore"):
         e = scipy.linalg.expm(a)
@@ -177,6 +180,8 @@ def null_space(a, scale: float | None = None) -> np.ndarray:
     as zero; ``scale`` defaults to sigma_max.  Returns an (n, k) array;
     k may be 0.
     """
+    import scipy.linalg
+
     a = as_matrix(a)
     _, s, vh = scipy.linalg.svd(a)
     nkeep = int(np.sum(s > TOL_RANK * (s[0] if scale is None else scale)))

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
+    NumericalError,
     Spectrum,
     as_matrix,
     eig,
@@ -265,7 +266,10 @@ def split_eigen_operators(span, operators, lams: np.ndarray, action, mu: complex
     operators come conserved first.
     """
     far = np.abs(lams - mu) > TARGET_EIGENVALUE_REL_TOL * max(scale, 1e-300)
-    basis = np.array(hermitize_basis(span(np.flatnonzero(~far))))
+    try:
+        basis = np.array(hermitize_basis(span(np.flatnonzero(~far))))
+    except ValueError as exc:  # rounding left the computed eigenspace not closed under the adjoint
+        raise NumericalError(f"eigenspace of {mu}: {exc}") from exc
     conserved, q_conserved = _build_operators(basis, np.full(len(basis), complex(mu)), action)
     vals = lams.tolist()
     keep = sorted(np.flatnonzero(far).tolist(), key=lambda i: (abs(vals[i] - mu), np.angle(vals[i]), abs(vals[i])))

@@ -46,12 +46,44 @@ def random_pt_symmetric(rng, n: int) -> np.ndarray:
 
 
 def match_spectra(a: np.ndarray, b: np.ndarray) -> float:
-    """Max eigenvalue distance under optimal (assignment) matching."""
-    from scipy.optimize import linear_sum_assignment
+    """Max eigenvalue distance under optimal (assignment) matching of two spectra of one length.
 
+    The assignment is scipy.optimize.linear_sum_assignment's, ties
+    included: the shortest augmenting paths of its rectangular_lsap
+    (Crouse 2016), step for step, without importing scipy.optimize.
+    """
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    c, n = cost.tolist(), len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        spc, rows, cols = [np.inf] * n, [], []
+        # rem: the columns not yet reached, in rectangular_lsap's order
+        rem, i, low, sink = list(range(n - 1, -1, -1)), cur, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            at, lowest = -1, np.inf
+            for it, j in enumerate(rem):
+                r = low + c[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                # a tie goes to a column no row is assigned to
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] < 0):
+                    at, lowest = it, spc[j]
+            low, j = lowest, rem[at]
+            rem[at] = rem[-1]
+            rem.pop()
+            cols.append(j)
+            sink, i = (j, i) if row4col[j] < 0 else (-1, row4col[j])
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - spc[col4row[i]]
+        for j in cols:
+            v[j] -= low - spc[j]
+        while (i := path[sink]) != cur:  # augment along the path back to row cur
+            row4col[sink], (col4row[i], sink) = i, (sink, col4row[i])
+        row4col[sink], col4row[cur] = cur, sink
+    return float(np.max(cost[np.arange(n), col4row]))
 
 
 def check_vec_round_trip() -> CheckResult:

@@ -450,6 +450,25 @@ class TestFloquet:
         assert done.stderr.startswith("numerical failure: Floquet superoperator")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
+    def test_null_space_tilted_by_rounding_exits_2(self, tmp_path):
+        # N = 32 with max|lambda| 7.6e6: the SVD null space of S - 1 (gap 6.4e-10
+        # to 2.1e-2) is tilted about 5e-8 by rounding, past the 1e-8 span check
+        rng = np.random.default_rng(0)
+        selfcheck.random_pt_symmetric(rng, 16)
+        h = selfcheck.random_pt_symmetric(rng, 32)
+        path = tmp_path / "h32.json"
+        path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in h]}))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "intertwine.cli", "floquet", "--input", str(path), "--JT", "0.7",
+             "--out", str(out)],
+            capture_output=True, text=True, env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["floquet", "trace"])
     @pytest.mark.parametrize(
         "source",
@@ -1003,21 +1022,54 @@ class TestReadme:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+    @staticmethod
+    def python(code):
+        """The stdout lines of ``code`` run in a fresh interpreter that finds the package."""
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, intertwine.cli; print('scipy.optimize' in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src},
         )
-        assert done.stdout.strip() == "False"
+        return done.stdout.splitlines()
+
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        assert self.python("import sys, intertwine.cli; print('scipy.optimize' in sys.modules)") == ["False"]
         # nor does a scan, whose EP contour is refined by models.brent_roots
         scan = ["scan", "--model", "classical-dimer", "--grid", "0:2:11,0.5:3:6",
                 "--out", str(tmp_path)]
         code = f"import sys, intertwine.cli as c; c.main({scan!r}); print('scipy.optimize' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": src},
-        )
-        assert done.stdout.splitlines()[-1] == "False"
+        assert self.python(code)[-1] == "False"
         assert (tmp_path / "contour.csv").read_text().count("\n") > 1
+
+    def test_scipy_loads_at_its_first_call(self, tmp_path):
+        # the rank-1 static route, --help and a config error call no scipy routine;
+        # floquet's propagator does, and scipy.linalg loads then
+        runs = [
+            ["static", "--model", "quantum-dimer", "--gamma", "0.5", "--out", str(tmp_path / "static")],
+            ["--help"],
+            ["static", "--input", H4, "--gamma", "0.5", "--out", str(tmp_path / "error")],
+            ["floquet", "--model", "quantum-dimer", "--gamma", "0.5", "--JT", "1", "--out", str(tmp_path / "floquet")],
+        ]
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import intertwine.cli as c",
+            "print(None, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+            f"for argv in {runs!r}:",
+            "    code = None  # --help exits through SystemExit",
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):",
+            "        code = c.main(argv)",
+            "    print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        ])
+        lines = self.python(code)
+        assert lines[:4] == ["None []", "0 []", "None []", "1 []"]
+        assert lines[4].startswith("0 [") and "'scipy.linalg'" in lines[4]
+        assert (tmp_path / "floquet" / "floquet_report.json").exists()
+
+    def test_verify_leaves_scipy_optimize_unloaded(self):
+        code = (
+            "import contextlib, io, sys, intertwine.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = c.main(['verify'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)"
+        )
+        assert self.python(code) == ["0 False"]

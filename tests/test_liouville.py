@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from intertwine import liouville as lv
-from intertwine.linalg import TOL_EIG, TOL_RANK, eig, hs_norm, matexp
+from intertwine import selfcheck
+from intertwine.linalg import TOL_EIG, TOL_RANK, NumericalError, eig, hs_norm, matexp
 from intertwine.models import (
     ID2,
     SIGMA_X,
@@ -33,6 +34,46 @@ def match_spectra(a, b):
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
+
+
+# exact zeros, exact duplicates and small lattice points: zero and equal
+# costs, so assignments that tie
+SPECTRUM_VALUES = (
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, 0.5 - 2j])
+    | st.builds(complex, st.integers(0, 4), st.integers(0, 1))
+    | st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def spectrum_pairs(draw):
+    n = draw(st.integers(1, 16))
+    a = draw(st.lists(SPECTRUM_VALUES, min_size=n, max_size=n))
+    b = draw(st.lists(SPECTRUM_VALUES | st.sampled_from(a), min_size=n, max_size=n))
+    return np.array(a, dtype=complex), np.array(b, dtype=complex)
+
+
+class TestMatchSpectra:
+    @settings(max_examples=300, deadline=None)
+    @given(spectrum_pairs())
+    def test_equals_linear_sum_assignment(self, pair):
+        a, b = pair
+        assert selfcheck.match_spectra(a, b) == match_spectra(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, worst",
+        [
+            # each has optimal assignments with other maxima: the first is
+            # picked if a path updates on <=, the second if a tie of reduced
+            # costs goes to the first tied column
+            ([1, 3, 3 + 1j], [4, 3, 4], 2.0),
+            ([2, 2, 1j, 3 + 1j, 3], [1, 4, 1, 4, 3], np.sqrt(2)),
+            ([0] * 5, [0] * 5, 0.0),
+        ],
+    )
+    def test_ties_resolved_as_linear_sum_assignment(self, a, b, worst):
+        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        assert selfcheck.match_spectra(a, b) == match_spectra(a, b) == worst
 
 
 class TestBuildLiouvillian:
@@ -126,6 +167,14 @@ class TestHermitizeBasis:
         sigma_plus = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             lv.hermitize_basis(sigma_plus[None])
+
+    def test_a_computed_eigenspace_not_closed_under_the_adjoint_is_a_numerical_error(self):
+        sigma_plus = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(NumericalError, match="does not span"):
+            lv.split_eigen_operators(
+                lambda near: sigma_plus[None], lambda idx: sigma_plus[None][idx], np.array([0j]),
+                lambda ops: 0 * ops, 0.0, 1.0,
+            )
 
 
 class TestEigenOperators:
