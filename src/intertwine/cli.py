@@ -24,6 +24,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -60,8 +61,7 @@ def _require_finite(path: Path, finite: bool) -> None:
 def _float_texts(path: Path, a: np.ndarray) -> list[str]:
     """`a`'s entries as repr writes them, in C order; NumericalError if one is not finite.
 
-    orjson's Ryu formatter gives repr's shortest round-trip digits but lays
-    out nonzero |x| < 1e-4 and |x| >= 1e16 otherwise; those take repr.
+    orjson gives repr's digits but not its layout of nonzero |x| < 1e-4 and |x| >= 1e16.
     """
     flat = a.ravel()
     _require_finite(path, np.isfinite(flat).all())
@@ -73,53 +73,53 @@ def _float_texts(path: Path, a: np.ndarray) -> list[str]:
     return texts if flat.size else []
 
 
-_key_text = functools.lru_cache(json.dumps)  # the reports have a few dozen distinct keys
-
-
-def _json_text(x, depth: int, path: Path) -> str:
-    """`x` as json.dumps(x, indent=2, sort_keys=True) lays it out at nesting `depth`.
-
-    A numpy array is written as nested lists and a complex number as an
-    [re, im] pair, so the bytes equal those of the same data given as
-    Python lists of floats.
-    """
+def _plain(x, path: Path):
+    """`x` as orjson writes it: complex numbers as [re, im], arrays C-contiguous; NumericalError
+    if a float in it is not finite."""
     if isinstance(x, np.ndarray):
-        return _json_array(x, depth, path)
+        if np.iscomplexobj(x):
+            x = np.stack((x.real, x.imag), axis=-1)
+        _require_finite(path, np.isfinite(x).all())
+        return np.ascontiguousarray(x) if x.ndim else x[()]
     if isinstance(x, complex):
         x = [x.real, x.imag]
     if isinstance(x, dict):
-        items = [f"{_key_text(k)}: {_json_text(x[k], depth + 1, path)}" for k in sorted(x)]
-        return _json_block("{", items, "}", depth)
+        return {k: _plain(v, path) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return _json_block("[", [_json_text(v, depth + 1, path) for v in x], "]", depth)
+        return [_plain(v, path) for v in x]
     if isinstance(x, float):
         _require_finite(path, math.isfinite(x))
-        return float.__repr__(x)
-    return json.dumps(x)
+    return x
 
 
-def _json_block(opening: str, items: list[str], closing: str, depth: int) -> str:
-    if not items:
-        return opening + closing
-    inner = "\n" + "  " * (depth + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
-
-
-def _json_array(a: np.ndarray, depth: int, path: Path) -> str:
-    """A non-empty float or complex array, formatted one axis at a time from the innermost."""
-    if np.iscomplexobj(a):
-        a = np.stack((a.real, a.imag), axis=-1)
-    texts = _float_texts(path, a)
-    for axis in reversed(range(a.ndim)):
-        n = a.shape[axis]
-        inner = "\n" + "  " * (depth + axis + 1)
-        layout = "[" + inner + ("%s," + inner) * (n - 1) + "%s\n" + "  " * (depth + axis) + "]"
-        texts = list(map(layout.__mod__, zip(*[iter(texts)] * n)))
-    return texts[0]
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+# orjson writes a number unlike repr only with an exponent (1.5e-7, 1e16) or as 0.0000...
+_ODD_NUMBER = (re.compile(rb"e[-\d]"), re.compile(rb"\.0000"))
+_NUMBER = re.compile(rb"(-?\d+(?:\.\d+)?(?:e-?\d+)?),?")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj, 0, path) + "\n")
+    """`obj` as json.dumps(obj, indent=2, sort_keys=True) writes it, arrays as nested lists.
+
+    One orjson call; then repr rewrites each number token with a match of ``_ODD_NUMBER``
+    (from the last space before it to its line's end: none in a string, whose quote ends it
+    first), and characters outside printable ASCII take json.dumps's escapes.
+    """
+    data = orjson.dumps(_plain(obj, path), option=_JSON_OPTIONS) + b"\n"
+    tokens = {}  # start -> end
+    for pattern in _ODD_NUMBER:
+        for m in pattern.finditer(data):
+            start = data.rfind(b" ", 0, m.start()) + 1
+            if number := _NUMBER.fullmatch(data, start, data.find(b"\n", m.end())):
+                tokens[start] = number.end(1)
+    pieces, done = [], 0
+    for start, end in sorted(tokens.items()):
+        pieces += [data[done:start], repr(float(data[start:end])).encode()]
+        done = end
+    data = b"".join([*pieces, data[done:]])
+    if not data.isascii() or b"\x7f" in data:
+        data = re.sub("[^\x00-\x7e]", lambda c: json.dumps(c[0])[1:-1], data.decode()).encode()
+    path.write_bytes(data)
 
 
 def _write_table(path: Path, header: str, columns, sep: str = ",") -> None:

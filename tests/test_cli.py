@@ -676,6 +676,8 @@ class TestScan:
         assert (tmp_path / "scan_grid.csv").read_text() == want_grid
         assert (tmp_path / "contour.csv").read_text() == want_contour
         assert load_json(tmp_path / "scan_report.json")["failures"] == want_failures
+        # the failure messages carry residuals such as 1.234e-16, left as they are
+        assert_canonical_json(tmp_path)
 
 
 def per_point_scan_tables(model, waveform, gammas, jts, J):
@@ -828,6 +830,8 @@ def list_form(x):
     """`x` with every array and complex number spelled out as Python lists."""
     if isinstance(x, np.ndarray):
         return list_form(x.item()) if x.ndim == 0 else [list_form(v) for v in x]
+    if isinstance(x, np.generic):
+        return list_form(x.item())
     if isinstance(x, complex):
         return [float(x.real), float(x.imag)]
     if isinstance(x, dict):
@@ -886,6 +890,28 @@ DIMER_COMMANDS = [
 ]
 
 
+COMPLEX = st.builds(complex, FINITE, FINITE)
+# texts shaped like the number tokens the writer rewrites, and some that hold them
+TEXTS = st.text() | st.sampled_from(["1e-05", "x 0.00001,", "1e16", "-1.5e-7", "a\": 0.00001"])
+# float and complex arrays of 0-3 axes, some empty, and views of them that are not C-contiguous
+ARRAYS = st.builds(
+    lambda a, view: view(a),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=COMPLEX),
+    st.sampled_from([
+        lambda a: a, lambda a: a.real, lambda a: a.imag, lambda a: a.T, np.asfortranarray,
+        lambda a: a[..., ::2] if a.ndim else a, lambda a: a.real[..., ::-2] if a.ndim else a.imag,
+    ]),
+)
+INTEGERS = st.integers(-(2**63), 2**63 - 1)
+REPORTS = st.recursive(
+    FINITE | COMPLEX | INTEGERS | st.booleans() | st.none() | TEXTS | FINITE.map(np.float64)
+    | INTEGERS.map(np.int64) | ARRAYS,
+    lambda items: st.lists(items, max_size=4) | st.dictionaries(TEXTS, items, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestOutputBytes:
     def test_json_writer_matches_json_dumps(self, tmp_path):
         z = np.array([-0.0 + 5e-324j, 1e308 - 0.0j, 0.1 - 1e-300j])
@@ -895,24 +921,34 @@ class TestOutputBytes:
             "scalar": np.array(2.5 - 0.0j),
             "rate": complex(-0.0, 1e308),
             "reals": np.array([0.5, -0.0, 1e308, 5e-324]),
-            "nested": [z[:1], {"b": None, "a": True, "c": False}, [], {}, 7, "é\"x"],
+            "nested": [z[:1], {"b": None, "a": True, "c": False}, [], {}, 7, "é\"x\x1f😀"],
             "zero": 0.0,
             "stack": np.arange(24, dtype=float).reshape(2, 3, 4) - 11.5,
         }
         path = tmp_path / "report.json"
-        cli._write_json(path, report)
-        assert path.read_text() == json.dumps(list_form(report), indent=2, sort_keys=True) + "\n"
+        # DEL is ASCII but json.dumps escapes it
+        for obj in (report, {"del": "a\x7fb"}):
+            cli._write_json(path, obj)
+            assert path.read_text() == json.dumps(list_form(obj), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "bad",
         [np.array([1.0, np.nan]), np.array([[1j, complex(np.inf, 0)]]), float("-inf"),
-         complex(0, np.nan)],
+         complex(0, np.nan), np.float64(np.nan), np.array(complex(1, np.nan)),
+         np.asfortranarray([[1.0, 2.0], [np.inf, 3.0]]), {"inner": [1j, complex(np.nan, 0)]}],
     )
     def test_json_writer_refuses_non_finite(self, tmp_path, bad):
         path = tmp_path / "report.json"
         with pytest.raises(NumericalError, match="report.json"):
             cli._write_json(path, {"ok": [1.0], "bad": [bad]})
         assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=REPORTS)
+    def test_json_writer_matches_json_dumps_on_generated_reports(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        cli._write_json(path, report)
+        assert path.read_text() == json.dumps(list_form(report), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("model", ["quantum-dimer", "classical-dimer"])
     @pytest.mark.parametrize("command", DIMER_COMMANDS, ids=lambda c: "-".join(c[:3]))
